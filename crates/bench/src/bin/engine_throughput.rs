@@ -33,13 +33,15 @@
 //!
 //! The 64-node scale measurement that used to live behind `--sweep64` is
 //! now `tc-bench sweep64 --record <path>`, which runs the whole sweep
-//! campaign through the threaded driver; this binary keeps any `sweep64_*`
-//! fields in the output file intact when rewriting the 4-node trajectory.
+//! campaign through the threaded driver. Both write through
+//! `merge_bench_fields`, so this binary replaces only its own fields and
+//! keeps the `sweep64_*` ones (and any others) intact.
 
 use std::time::Instant;
 
+use tc_bench::{flag_value, merge_bench_fields};
 use tc_system::{RunOptions, System};
-use tc_types::{ProtocolKind, SystemConfig};
+use tc_types::{Json, ProtocolKind, SystemConfig};
 use tc_workloads::WorkloadProfile;
 
 /// Default number of timed runs; the fastest is reported to suppress
@@ -68,9 +70,8 @@ fn main() {
     while i < args.len() {
         let arg = args[i].as_str();
         let mut value = || -> String {
-            i += 1;
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("usage: {arg} requires a value");
+            flag_value(&args, &mut i).unwrap_or_else(|message| {
+                eprintln!("usage: {message}");
                 std::process::exit(2);
             })
         };
@@ -90,7 +91,6 @@ fn main() {
         }
         i += 1;
     }
-    let check_key = format!("\"{check_key}\":");
 
     let config = SystemConfig::isca03_default()
         .with_nodes(num_nodes)
@@ -117,11 +117,10 @@ fn main() {
         let rate = events as f64 / secs;
         eprintln!(
             "run {}/{runs}: {events} events in {secs:.3} s = {rate:.0} events/s \
-             (line-state plane: {} peak entries, {} B, retired-plane est {} B)",
+             (line-state plane: {} peak entries, {} B)",
             i + 1,
             state.total_entries(),
-            state.state_bytes,
-            state.retired_bytes_est
+            state.state_bytes
         );
         if rate > best_events_per_sec {
             best_events_per_sec = rate;
@@ -129,61 +128,45 @@ fn main() {
         }
     }
 
-    let check_reference = check_path.as_ref().and_then(|path| {
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| read_number(&text, &check_key))
-    });
-    let state_bytes_reference = check_path.as_ref().and_then(|path| {
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| read_number(&text, "\"peak_state_bytes\":"))
-    });
-    let previous = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let json = {
-        let baseline =
-            read_number(&previous, "\"baseline_events_per_sec\":").unwrap_or(best_events_per_sec);
-        let speedup = best_events_per_sec / baseline;
-        // Preserve the sweep64 campaign fields recorded by `tc-bench
-        // sweep64 --record`, re-ordered below the headline fields.
-        let sweep_tail: String = previous
-            .lines()
-            .filter(|l| l.contains("\"sweep64_"))
-            .map(|l| {
-                let l = l.trim_end().trim_end_matches(',');
-                format!("  {},\n", l.trim_start())
-            })
-            .collect();
-        let mut body = format!(
-            "  \"benchmark\": \"engine_throughput\",\n  \"engine\": \"{ENGINE_CONFIG}\",\n  \
-             \"protocol\": \"TokenB\",\n  \"workload\": \"oltp\",\n  \
-             \"num_nodes\": {num_nodes},\n  \"ops_per_node\": {ops_per_node},\n  \
-             \"events_delivered\": {},\n  \"wall_seconds\": {:.6},\n  \
-             \"events_per_sec\": {:.0},\n  \"baseline_events_per_sec\": {:.0},\n  \
-             \"speedup_vs_baseline\": {:.3},\n  \
-             \"peak_state_entries\": {},\n  \"peak_state_bytes\": {},\n  \
-             \"peak_state_bytes_retired_plane_est\": {},\n",
-            best.0,
-            best.1,
-            best_events_per_sec,
-            baseline,
-            speedup,
-            state.total_entries(),
-            state.state_bytes,
-            state.retired_bytes_est
-        );
-        body.push_str(&sweep_tail);
-        let body = body.trim_end().trim_end_matches(',');
-        format!("{{\n{body}\n}}\n")
-    };
-    std::fs::write(&out_path, &json).expect("write benchmark result");
-    println!("{json}");
+    // Read before the write below, so checking against the file being
+    // (re)written still gates on the previous record rather than on this
+    // run's own result.
+    let check_reference = check_path
+        .as_ref()
+        .and_then(|path| recorded(path, &check_key));
+    let state_bytes_reference = check_path
+        .as_ref()
+        .and_then(|path| recorded(path, "peak_state_bytes"));
+    let baseline = recorded(&out_path, "baseline_events_per_sec").unwrap_or(best_events_per_sec);
+    merge_bench_fields(
+        &out_path,
+        vec![
+            ("benchmark", Json::Str("engine_throughput".to_string())),
+            ("engine", Json::Str(ENGINE_CONFIG.to_string())),
+            ("protocol", Json::Str("TokenB".to_string())),
+            ("workload", Json::Str("oltp".to_string())),
+            ("num_nodes", Json::u64(num_nodes as u64)),
+            ("ops_per_node", Json::u64(ops_per_node)),
+            ("events_delivered", Json::u64(best.0)),
+            ("wall_seconds", Json::fixed(best.1, 6)),
+            ("events_per_sec", Json::fixed(best_events_per_sec, 0)),
+            ("baseline_events_per_sec", Json::fixed(baseline, 0)),
+            (
+                "speedup_vs_baseline",
+                Json::fixed(best_events_per_sec / baseline, 3),
+            ),
+            ("peak_state_entries", Json::u64(state.total_entries())),
+            ("peak_state_bytes", Json::u64(state.state_bytes)),
+        ],
+    )
+    .expect("write benchmark result");
+    print!(
+        "{}",
+        std::fs::read_to_string(&out_path).expect("read benchmark result back")
+    );
     eprintln!("wrote {out_path}");
 
     if let Some(check_path) = check_path {
-        // `check_reference` was read before the write above, so checking
-        // against the file just (re)written still gates on the previous
-        // record rather than on this run's own result.
         match check_reference {
             Some(recorded) if recorded > 0.0 => {
                 let floor = recorded * (1.0 - tolerance);
@@ -268,14 +251,10 @@ fn run_once(
     (system.events_delivered(), secs, report.engine.state)
 }
 
-/// Extracts the first number after `key` from our own fixed-shape output.
-/// A tiny string scan instead of a JSON dependency, per the offline build
-/// environment's no-external-crates policy.
-fn read_number(text: &str, key: &str) -> Option<f64> {
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The number recorded under `key` in the JSON object file at `path`;
+/// `None` when the file is missing or unparseable, or the member is absent
+/// or not a number.
+fn recorded(path: &str, key: &str) -> Option<f64> {
+    let text = std::fs::read_to_string(path).ok()?;
+    Json::parse(&text).ok()?.get(key)?.as_f64()
 }

@@ -17,15 +17,15 @@
 //! still resolve as campaign aliases.
 
 use tc_bench::{
-    campaign_sections, merge_bench_fields, render_fault_table, render_reissue_table,
+    campaign_sections, flag_value, merge_bench_fields, render_fault_table, render_reissue_table,
     render_scalability_table, render_table1, resolve_campaign, traffic_classes_cover_total,
-    Section, TableKind, CAMPAIGNS, SCALABILITY_NODE_COUNTS,
+    CampaignSpec, Section, TableKind, CAMPAIGNS, SCALABILITY_NODE_COUNTS,
 };
 use tc_sim::{JournalRecord, RunJournal};
 use tc_system::campaign::{Campaign, CampaignReport};
 use tc_system::experiment::{ExperimentPoint, SWEEP64_OPS_PER_NODE};
 use tc_system::{RunOptions, System};
-use tc_types::{FaultSpec, ProtocolKind, SystemConfig};
+use tc_types::{FaultSpec, Json, ProtocolKind, SystemConfig};
 use tc_workloads::WorkloadProfile;
 
 /// Parsed command-line options (everything after the campaign name).
@@ -94,61 +94,46 @@ fn parse_options(args: &[String]) -> Result<CliOptions, String> {
     };
     let mut i = 0;
     while i < args.len() {
-        let arg = args[i].as_str();
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{arg} requires a value"))
-        };
-        match arg {
-            "--ops" => {
-                let v = value(&mut i)?;
-                options.ops = Some(v.parse().map_err(|_| format!("bad --ops value: {v}"))?);
-            }
+        match args[i].as_str() {
+            "--ops" => options.ops = Some(flag_value(args, &mut i)?),
             "--threads" => {
-                let v = value(&mut i)?;
-                options.threads = v.parse().map_err(|_| format!("bad --threads value: {v}"))?;
+                options.threads = flag_value(args, &mut i)?;
                 if options.threads == 0 {
                     return Err("--threads must be at least 1".to_string());
                 }
             }
-            "--workload" => {
-                let v = value(&mut i)?;
-                options.workload = Some(
-                    WorkloadProfile::by_name(&v).ok_or_else(|| format!("unknown workload: {v}"))?,
-                );
-            }
-            "--protocol" => {
-                let v = value(&mut i)?;
-                options.protocol = Some(
-                    ProtocolKind::by_name(&v).ok_or_else(|| format!("unknown protocol: {v}"))?,
-                );
-            }
-            "--faults" => {
-                let v = value(&mut i)?;
-                options.faults =
-                    Some(FaultSpec::parse(&v).map_err(|e| format!("bad --faults value: {e}"))?);
-            }
-            "--json" => options.json_path = Some(value(&mut i)?),
-            "--runs-json" => options.runs_json_path = Some(value(&mut i)?),
-            "--record" => options.record_path = Some(value(&mut i)?),
+            "--workload" => options.workload = Some(parse_workload(flag_value(args, &mut i)?)?),
+            "--protocol" => options.protocol = Some(parse_protocol(flag_value(args, &mut i)?)?),
+            "--faults" => options.faults = Some(parse_faults(flag_value(args, &mut i)?)?),
+            "--json" => options.json_path = Some(flag_value(args, &mut i)?),
+            "--runs-json" => options.runs_json_path = Some(flag_value(args, &mut i)?),
+            "--record" => options.record_path = Some(flag_value(args, &mut i)?),
             "--serial-baseline" => options.serial_baseline = true,
-            "--shards" => {
-                let v = value(&mut i)?;
-                let shards: u32 = v.parse().map_err(|_| format!("bad --shards value: {v}"))?;
-                if shards == 0 {
-                    return Err(
-                        "--shards must be at least 1 (omit it for the serial engine)".to_string(),
-                    );
-                }
-                options.shards = Some(shards);
-            }
+            "--shards" => options.shards = Some(check_shards(flag_value(args, &mut i)?)?),
             other => return Err(format!("unknown option: {other}")),
         }
         i += 1;
     }
     Ok(options)
+}
+
+fn parse_workload(name: String) -> Result<WorkloadProfile, String> {
+    WorkloadProfile::by_name(&name).ok_or_else(|| format!("unknown workload: {name}"))
+}
+
+fn parse_protocol(name: String) -> Result<ProtocolKind, String> {
+    ProtocolKind::by_name(&name).ok_or_else(|| format!("unknown protocol: {name}"))
+}
+
+fn parse_faults(spec: String) -> Result<FaultSpec, String> {
+    FaultSpec::parse(&spec).map_err(|e| format!("bad --faults value: {e}"))
+}
+
+fn check_shards(shards: u32) -> Result<u32, String> {
+    match shards {
+        0 => Err("--shards must be at least 1 (omit it for the serial engine)".to_string()),
+        shards => Ok(shards),
+    }
 }
 
 /// The default per-node operation count of a campaign.
@@ -162,23 +147,28 @@ fn default_ops(campaign: &str) -> u64 {
     }
 }
 
-fn run_options(campaign: &str, cli: &CliOptions) -> RunOptions {
+fn run_options(
+    campaign: &str,
+    ops: Option<u64>,
+    faults: Option<FaultSpec>,
+    shards: Option<u32>,
+) -> RunOptions {
     let mut options = if campaign == "sweep64" {
         RunOptions::sweep64()
     } else {
         RunOptions::standard()
     };
-    options.ops_per_node = cli.ops.unwrap_or_else(|| default_ops(campaign));
+    options.ops_per_node = ops.unwrap_or_else(|| default_ops(campaign));
     // Campaign-wide fault injection; a point carrying its own spec (the
     // faultsweep catalog's per-class points) overrides this at run time.
-    if let Some(faults) = cli.faults {
+    if let Some(faults) = faults {
         options.faults = faults;
     }
     // sweep64's committed wall-clock fields are serial-engine figures; there
     // --shards drives only the epilogue's reference-point scaling
     // measurement, never the campaign itself.
     if campaign != "sweep64" {
-        if let Some(shards) = cli.shards {
+        if let Some(shards) = shards {
             options = options.with_shards(shards);
         }
     }
@@ -264,51 +254,20 @@ fn parse_run_one(args: &[String]) -> Result<RunOneOptions, String> {
     };
     let mut i = 0;
     while i < args.len() {
-        let arg = args[i].as_str();
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{arg} requires a value"))
-        };
-        let parse_u64 = |v: String| -> Result<u64, String> {
-            v.parse().map_err(|_| format!("bad {arg} value: {v}"))
-        };
-        match arg {
-            "--protocol" => {
-                let v = value(&mut i)?;
-                options.protocol =
-                    ProtocolKind::by_name(&v).ok_or_else(|| format!("unknown protocol: {v}"))?;
-            }
-            "--workload" => {
-                let v = value(&mut i)?;
-                options.workload =
-                    WorkloadProfile::by_name(&v).ok_or_else(|| format!("unknown workload: {v}"))?;
-            }
-            "--nodes" => options.nodes = parse_u64(value(&mut i)?)? as usize,
-            "--seed" => options.seed = parse_u64(value(&mut i)?)?,
-            "--ops" => options.ops = parse_u64(value(&mut i)?)?,
-            "--max-cycles" => options.max_cycles = parse_u64(value(&mut i)?)?,
-            "--faults" => {
-                let v = value(&mut i)?;
-                options.faults =
-                    Some(FaultSpec::parse(&v).map_err(|e| format!("bad --faults value: {e}"))?);
-            }
-            "--checkpoint-every" => options.checkpoint_every = Some(parse_u64(value(&mut i)?)?),
-            "--checkpoint-dir" => options.checkpoint_dir = Some(value(&mut i)?),
-            "--resume" => options.resume = Some(value(&mut i)?),
-            "--crash-after" => options.crash_after = Some(parse_u64(value(&mut i)?)?),
-            "--report-out" => options.report_out = Some(value(&mut i)?),
-            "--shards" => {
-                let v = value(&mut i)?;
-                let shards: u32 = v.parse().map_err(|_| format!("bad --shards value: {v}"))?;
-                if shards == 0 {
-                    return Err(
-                        "--shards must be at least 1 (omit it for the serial engine)".to_string(),
-                    );
-                }
-                options.shards = Some(shards);
-            }
+        match args[i].as_str() {
+            "--protocol" => options.protocol = parse_protocol(flag_value(args, &mut i)?)?,
+            "--workload" => options.workload = parse_workload(flag_value(args, &mut i)?)?,
+            "--nodes" => options.nodes = flag_value(args, &mut i)?,
+            "--seed" => options.seed = flag_value(args, &mut i)?,
+            "--ops" => options.ops = flag_value(args, &mut i)?,
+            "--max-cycles" => options.max_cycles = flag_value(args, &mut i)?,
+            "--faults" => options.faults = Some(parse_faults(flag_value(args, &mut i)?)?),
+            "--checkpoint-every" => options.checkpoint_every = Some(flag_value(args, &mut i)?),
+            "--checkpoint-dir" => options.checkpoint_dir = Some(flag_value(args, &mut i)?),
+            "--resume" => options.resume = Some(flag_value(args, &mut i)?),
+            "--crash-after" => options.crash_after = Some(flag_value(args, &mut i)?),
+            "--report-out" => options.report_out = Some(flag_value(args, &mut i)?),
+            "--shards" => options.shards = Some(check_shards(flag_value(args, &mut i)?)?),
             other => return Err(format!("unknown run-one option: {other}")),
         }
         i += 1;
@@ -471,45 +430,22 @@ fn parse_hunt(args: &[String]) -> Result<tc_testkit::HuntOptions, String> {
     let mut tuned = false;
     let mut i = 0;
     while i < args.len() {
-        let arg = args[i].as_str();
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{arg} requires a value"))
-        };
-        match arg {
-            "--protocol" => {
-                let v = value(&mut i)?;
-                options.protocol =
-                    ProtocolKind::by_name(&v).ok_or_else(|| format!("unknown protocol: {v}"))?;
-                tuned = true;
-            }
-            "--scenario" => {
-                options.scenario = value(&mut i)?;
-                tuned = true;
-            }
-            "--seed" => {
-                let v = value(&mut i)?;
-                options.seed = v.parse().map_err(|_| format!("bad --seed value: {v}"))?;
-                tuned = true;
-            }
+        let flag = args[i].as_str();
+        match flag {
+            "--protocol" => options.protocol = parse_protocol(flag_value(args, &mut i)?)?,
+            "--scenario" => options.scenario = flag_value(args, &mut i)?,
+            "--seed" => options.seed = flag_value(args, &mut i)?,
             "--budget" => {
-                let v = value(&mut i)?;
-                options.budget = v.parse().map_err(|_| format!("bad --budget value: {v}"))?;
+                options.budget = flag_value(args, &mut i)?;
                 if options.budget == 0 {
                     return Err("--budget must be at least 1".to_string());
                 }
-                tuned = true;
             }
-            "--ops" => {
-                let v = value(&mut i)?;
-                options.ops_per_node = v.parse().map_err(|_| format!("bad --ops value: {v}"))?;
-                tuned = true;
-            }
+            "--ops" => options.ops_per_node = flag_value(args, &mut i)?,
             "--smoke" => smoke = true,
             other => return Err(format!("unknown hunt option: {other}")),
         }
+        tuned |= flag != "--smoke";
         i += 1;
     }
     if smoke {
@@ -563,23 +499,15 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let mut options = tc_serve::ServeOptions::default();
     let mut i = 0;
     while i < args.len() {
-        let arg = args[i].as_str();
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{arg} requires a value"))
-        };
-        match arg {
-            "--addr" => options.addr = value(&mut i)?,
+        match args[i].as_str() {
+            "--addr" => options.addr = flag_value(args, &mut i)?,
             "--workers" => {
-                let v = value(&mut i)?;
-                options.workers = v.parse().map_err(|_| format!("bad --workers value: {v}"))?;
+                options.workers = flag_value(args, &mut i)?;
                 if options.workers == 0 {
                     return Err("--workers must be at least 1".to_string());
                 }
             }
-            "--cache" => options.cache_path = Some(std::path::PathBuf::from(value(&mut i)?)),
+            "--cache" => options.cache_path = Some(flag_value(args, &mut i)?),
             other => return Err(format!("unknown serve option: {other}")),
         }
         i += 1;
@@ -629,19 +557,19 @@ fn submit_usage() -> String {
     out
 }
 
-/// Expands `campaign` into the exact flattened point list the one-shot path
-/// runs, applying the same filters and rejections.
-fn expand_campaign(
-    campaign: &str,
+/// The sections `spec` runs once the `--workload` and `--protocol` filters
+/// apply: the one expansion the one-shot path and `submit` share, so both
+/// run exactly the same points and reject the same combinations.
+fn filtered_sections(
+    spec: &CampaignSpec,
     workload: Option<&WorkloadProfile>,
     protocol: Option<ProtocolKind>,
-) -> Result<Vec<ExperimentPoint>, String> {
-    let Some(spec) = resolve_campaign(campaign) else {
-        return Err(format!("unknown campaign: {campaign}"));
-    };
+) -> Result<Vec<Section>, String> {
     if spec.name == "table1" {
         return Err("table1 is a static parameter table; nothing to simulate".to_string());
     }
+    // Only the figure campaigns iterate workloads; rejecting --workload
+    // elsewhere beats silently running all three commercial profiles.
     if workload.is_some() && !spec.name.starts_with("fig") {
         return Err(format!(
             "--workload applies only to the figure campaigns; {} runs a fixed workload set",
@@ -651,6 +579,8 @@ fn expand_campaign(
     let mut sections =
         campaign_sections(spec.name, workload).expect("campaign resolved but has no sections");
     if let Some(protocol) = protocol {
+        // The scalability renderer compares fixed protocol columns, so a
+        // filtered run would print NaN columns; reject instead.
         if spec.name == "scalability" {
             return Err(
                 "--protocol does not apply to scalability (its table compares protocols)"
@@ -665,7 +595,7 @@ fn expand_campaign(
             return Err("no points left after --protocol filter".to_string());
         }
     }
-    Ok(sections.into_iter().flat_map(|s| s.points).collect())
+    Ok(sections)
 }
 
 fn run_submit(args: &[String]) -> Result<(), String> {
@@ -682,70 +612,31 @@ fn run_submit(args: &[String]) -> Result<(), String> {
     let mut runs_json: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
-        let arg = args[i].as_str();
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{arg} requires a value"))
-        };
-        match arg {
-            "--addr" => addr = value(&mut i)?,
+        match args[i].as_str() {
+            "--addr" => addr = flag_value(args, &mut i)?,
             "--priority" => {
-                let v = value(&mut i)?;
-                priority = tc_types::JobPriority::parse(&v)?;
+                priority = tc_types::JobPriority::parse(&flag_value::<String>(args, &mut i)?)?;
             }
-            "--ops" => {
-                let v = value(&mut i)?;
-                ops = Some(v.parse().map_err(|_| format!("bad --ops value: {v}"))?);
-            }
-            "--workload" => {
-                let v = value(&mut i)?;
-                workload = Some(
-                    WorkloadProfile::by_name(&v).ok_or_else(|| format!("unknown workload: {v}"))?,
-                );
-            }
-            "--protocol" => {
-                let v = value(&mut i)?;
-                protocol = Some(
-                    ProtocolKind::by_name(&v).ok_or_else(|| format!("unknown protocol: {v}"))?,
-                );
-            }
-            "--faults" => {
-                let v = value(&mut i)?;
-                faults =
-                    Some(FaultSpec::parse(&v).map_err(|e| format!("bad --faults value: {e}"))?);
-            }
-            "--runs-json" => runs_json = Some(value(&mut i)?),
+            "--ops" => ops = Some(flag_value(args, &mut i)?),
+            "--workload" => workload = Some(parse_workload(flag_value(args, &mut i)?)?),
+            "--protocol" => protocol = Some(parse_protocol(flag_value(args, &mut i)?)?),
+            "--faults" => faults = Some(parse_faults(flag_value(args, &mut i)?)?),
+            "--runs-json" => runs_json = Some(flag_value(args, &mut i)?),
             other => return Err(format!("unknown submit option: {other}")),
         }
         i += 1;
     }
 
-    let points = expand_campaign(&campaign, workload.as_ref(), protocol)?;
-    // `run_options` keys defaults off the canonical name, not an alias;
-    // expand_campaign already proved the campaign resolves.
-    let spec_name = resolve_campaign(&campaign)
-        .expect("campaign resolved above")
-        .name;
-    let options = run_options(
-        spec_name,
-        &CliOptions {
-            ops,
-            threads: 1,
-            workload,
-            protocol,
-            faults,
-            json_path: None,
-            runs_json_path: None,
-            record_path: None,
-            serial_baseline: false,
-            shards: None,
-        },
-    );
+    let Some(spec) = resolve_campaign(&campaign) else {
+        return Err(format!("unknown campaign: {campaign}"));
+    };
+    let points = filtered_sections(spec, workload.as_ref(), protocol)?
+        .into_iter()
+        .flat_map(|s| s.points)
+        .collect();
     let submission = tc_serve::Submission {
         priority,
-        options,
+        options: run_options(spec.name, ops, faults, None),
         points,
     };
     eprintln!(
@@ -779,13 +670,7 @@ fn parse_addr_only(subcommand: &str, args: &[String]) -> Result<String, String> 
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = args
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| "--addr requires a value".to_string())?;
-            }
+            "--addr" => addr = flag_value(args, &mut i)?,
             other => return Err(format!("unknown {subcommand} option: {other}")),
         }
         i += 1;
@@ -898,35 +783,12 @@ fn main() {
         return;
     }
 
-    // Only the figure campaigns iterate workloads; rejecting --workload
-    // elsewhere beats silently running all three commercial profiles.
-    if cli.workload.is_some() && !spec.name.starts_with("fig") {
-        eprintln!(
-            "--workload applies only to the figure campaigns; {} runs a fixed workload set",
-            spec.name
-        );
-        std::process::exit(2);
-    }
-
-    let mut sections = campaign_sections(spec.name, cli.workload.as_ref())
-        .expect("campaign resolved but has no sections");
-    if let Some(protocol) = cli.protocol {
-        // The scalability renderer compares fixed protocol columns, so a
-        // filtered run would print NaN columns; reject instead.
-        if spec.name == "scalability" {
-            eprintln!("--protocol does not apply to scalability (its table compares protocols)");
+    let sections =
+        filtered_sections(spec, cli.workload.as_ref(), cli.protocol).unwrap_or_else(|message| {
+            eprintln!("{message}");
             std::process::exit(2);
-        }
-        for section in &mut sections {
-            section.points.retain(|p| p.config.protocol == protocol);
-        }
-        sections.retain(|s| !s.points.is_empty());
-        if sections.is_empty() {
-            eprintln!("no points left after --protocol filter");
-            std::process::exit(2);
-        }
-    }
-    let options = run_options(spec.name, &cli);
+        });
+    let options = run_options(spec.name, cli.ops, cli.faults, cli.shards);
     let all_points: Vec<ExperimentPoint> = sections.iter().flat_map(|s| s.points.clone()).collect();
     println!(
         "campaign {} ({} points, {} ops/node, {} threads)",
@@ -1121,47 +983,42 @@ fn finish_sweep64(
             .unwrap_or(0);
         let mut fields = vec![
             (
-                "sweep64_campaign_points".to_string(),
-                parallel.runs.len().to_string(),
+                "sweep64_campaign_points",
+                Json::u64(parallel.runs.len() as u64),
             ),
             (
-                "sweep64_campaign_ops_per_node".to_string(),
-                options.ops_per_node.to_string(),
+                "sweep64_campaign_ops_per_node",
+                Json::u64(options.ops_per_node),
             ),
-            ("sweep64_threads".to_string(), parallel.threads.to_string()),
+            ("sweep64_threads", Json::u64(parallel.threads as u64)),
             (
-                "sweep64_wall_s_parallel".to_string(),
-                format!("{:.3}", parallel.wall_seconds),
+                "sweep64_wall_s_parallel",
+                Json::fixed(parallel.wall_seconds, 3),
             ),
-            ("sweep64_host_cores".to_string(), host_cores.to_string()),
-            (
-                "sweep64_peak_state_bytes".to_string(),
-                peak_state_bytes.to_string(),
-            ),
+            ("sweep64_host_cores", Json::u64(host_cores as u64)),
+            ("sweep64_peak_state_bytes", Json::u64(peak_state_bytes)),
         ];
         if let Some(serial) = serial_wall {
-            fields.push(("sweep64_wall_s_serial".to_string(), format!("{serial:.3}")));
-            fields.push((
-                "sweep64_parallel_speedup".to_string(),
-                format!("{:.3}", serial / parallel.wall_seconds),
-            ));
+            fields.extend([
+                ("sweep64_wall_s_serial", Json::fixed(serial, 3)),
+                (
+                    "sweep64_parallel_speedup",
+                    Json::fixed(serial / parallel.wall_seconds, 3),
+                ),
+            ]);
         }
         if let Some((shards, wall_one, wall_many)) = shard_walls {
-            fields.push(("sweep64_shards".to_string(), shards.to_string()));
-            fields.push((
-                "sweep64_wall_s_shard1".to_string(),
-                format!("{wall_one:.3}"),
-            ));
-            fields.push((
-                "sweep64_wall_s_sharded".to_string(),
-                format!("{wall_many:.3}"),
-            ));
-            fields.push((
-                "sweep64_shard_speedup".to_string(),
-                format!("{:.3}", wall_one / wall_many),
-            ));
+            fields.extend([
+                ("sweep64_shards", Json::u64(u64::from(shards))),
+                ("sweep64_wall_s_shard1", Json::fixed(wall_one, 3)),
+                ("sweep64_wall_s_sharded", Json::fixed(wall_many, 3)),
+                (
+                    "sweep64_shard_speedup",
+                    Json::fixed(wall_one / wall_many, 3),
+                ),
+            ]);
         }
-        merge_bench_fields(path, &fields).expect("record sweep64 wall-clock");
+        merge_bench_fields(path, fields).expect("record sweep64 wall-clock");
         eprintln!("recorded sweep64 wall-clock fields in {path}");
     }
 }

@@ -35,7 +35,7 @@ use tc_system::experiment::{
     figure4a_points, figure4b_points, figure5a_points, figure5b_points, scalability_points,
     table2_points, ExperimentPoint,
 };
-use tc_types::{ProtocolKind, SystemConfig, TrafficClass};
+use tc_types::{Json, ProtocolKind, SystemConfig, TrafficClass};
 use tc_workloads::WorkloadProfile;
 
 /// How one campaign section's reports are rendered.
@@ -431,30 +431,62 @@ pub fn traffic_classes_cover_total(report: &CampaignReport) -> bool {
     })
 }
 
-/// Merges `fields` into the flat one-field-per-line JSON file at `path`
-/// (the `BENCH_engine.json` format), replacing same-named fields and
-/// preserving everything else. Creates the file if missing. Values are
-/// inserted verbatim, so callers pass pre-formatted JSON scalars.
+/// Merges `fields` into the JSON object file at `path` (the
+/// `BENCH_engine.json` format): a field already present is replaced in
+/// place, a new one is appended, and every other member is kept. A missing
+/// or empty file starts a new object. The file is rewritten one member per
+/// line.
 ///
 /// # Errors
 ///
-/// Returns any I/O error from writing the file.
-pub fn merge_bench_fields(path: &str, fields: &[(String, String)]) -> std::io::Result<()> {
-    let previous = std::fs::read_to_string(path).unwrap_or_default();
-    let mut kept: Vec<String> = previous
-        .lines()
-        .map(|line| line.trim().trim_end_matches(',').to_string())
-        .filter(|line| !line.is_empty() && line != "{" && line != "}")
-        .filter(|line| {
-            !fields
-                .iter()
-                .any(|(key, _)| line.starts_with(&format!("\"{key}\"")))
-        })
-        .collect();
+/// Returns the I/O error from reading or writing the file, or an
+/// `InvalidData` error when the existing file is not a JSON object.
+pub fn merge_bench_fields(path: &str, fields: Vec<(&str, Json)>) -> std::io::Result<()> {
+    let invalid = |message: String| std::io::Error::new(std::io::ErrorKind::InvalidData, message);
+    let previous = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e),
+    };
+    let mut members = if previous.trim().is_empty() {
+        Vec::new()
+    } else {
+        match Json::parse(&previous) {
+            Ok(Json::Obj(members)) => members,
+            Ok(_) => return Err(invalid(format!("{path} is not a JSON object"))),
+            Err(e) => return Err(invalid(format!("{path}: {e}"))),
+        }
+    };
     for (key, value) in fields {
-        kept.push(format!("\"{key}\": {value}"));
+        match members.iter_mut().find(|(k, _)| k == key) {
+            Some((_, slot)) => *slot = value,
+            None => members.push((key.to_string(), value)),
+        }
     }
-    std::fs::write(path, format!("{{\n  {}\n}}\n", kept.join(",\n  ")))
+    let lines: Vec<String> = members
+        .into_iter()
+        .map(|(key, value)| format!("  {}: {value}", Json::Str(key)))
+        .collect();
+    std::fs::write(path, format!("{{\n{}\n}}\n", lines.join(",\n")))
+}
+
+/// The value of the flag at `args[*i]`, parsed: advances `*i` onto the
+/// value. A missing value is the `"<flag> requires a value"` usage error and
+/// an unparseable one is `"bad <flag> value: <value>"`; take a `String` to
+/// parse it yourself.
+///
+/// # Errors
+///
+/// Returns the usage message when the value is missing or does not parse.
+pub fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+    let flag = &args[*i];
+    *i += 1;
+    let value = args
+        .get(*i)
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("bad {flag} value: {value}"))
 }
 
 #[cfg(test)]
@@ -464,7 +496,7 @@ mod tests {
     use tc_system::RunOptions;
 
     #[test]
-    fn every_retired_binary_resolves_to_a_campaign() {
+    fn every_legacy_binary_name_resolves_to_a_campaign() {
         for name in [
             "table1",
             "table2",
@@ -581,24 +613,60 @@ mod tests {
 
     #[test]
     fn merge_bench_fields_replaces_and_preserves() {
-        let path = std::env::temp_dir().join("tc_bench_merge_test.json");
+        let path =
+            std::env::temp_dir().join(format!("tc_bench_merge_test_{}.json", std::process::id()));
         let path = path.to_str().unwrap().to_string();
         let _ = std::fs::remove_file(&path);
         merge_bench_fields(
             &path,
-            &[
-                ("alpha".to_string(), "1".to_string()),
-                ("beta".to_string(), "2.5".to_string()),
+            vec![
+                ("alpha", Json::u64(1)),
+                ("beta", Json::fixed(2.5, 1)),
+                ("gamma", Json::Str("g".to_string())),
             ],
         )
         .unwrap();
-        merge_bench_fields(&path, &[("alpha".to_string(), "7".to_string())]).unwrap();
+        merge_bench_fields(&path, vec![("alpha", Json::u64(7)), ("delta", Json::Null)]).unwrap();
+        // In-place replacement keeps member order; new members append.
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"alpha\": 7"));
-        assert!(text.contains("\"beta\": 2.5"));
-        assert_eq!(text.matches("alpha").count(), 1);
-        assert!(text.starts_with("{\n"));
-        assert!(text.ends_with("}\n"));
+        assert_eq!(
+            text,
+            "{\n  \"alpha\": 7,\n  \"beta\": 2.5,\n  \"gamma\": \"g\",\n  \"delta\": null\n}\n"
+        );
+
+        // A compact one-line file merges member by member, not line by line.
+        std::fs::write(&path, "{\"a\":1,\"b\":[2,3],\"c\":\"x,y\"}").unwrap();
+        merge_bench_fields(&path, vec![("b", Json::u64(9))]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, "{\n  \"a\": 1,\n  \"b\": 9,\n  \"c\": \"x,y\"\n}\n");
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.get("c").and_then(Json::as_str), Some("x,y"));
+
+        // A file that is not a JSON object is refused, not overwritten.
+        std::fs::write(&path, "not json").unwrap();
+        assert!(merge_bench_fields(&path, vec![("a", Json::u64(1))]).is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "not json");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn flag_value_parses_or_names_the_flag() {
+        let args: Vec<String> = ["--ops", "12", "--threads", "x", "--out"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let mut i = 0;
+        assert_eq!(flag_value::<u64>(&args, &mut i), Ok(12));
+        assert_eq!(i, 1);
+        i = 2;
+        assert_eq!(
+            flag_value::<usize>(&args, &mut i),
+            Err("bad --threads value: x".to_string())
+        );
+        i = 4;
+        assert_eq!(
+            flag_value::<String>(&args, &mut i),
+            Err("--out requires a value".to_string())
+        );
     }
 }

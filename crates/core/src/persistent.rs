@@ -87,11 +87,6 @@ impl PersistentTable {
         self.entries.allocated_bytes()
     }
 
-    /// The retired-`BTreeMap` cost estimate for the same peak population.
-    pub fn retired_bytes_estimate(&self) -> u64 {
-        self.entries.retired_container_bytes_estimate()
-    }
-
     /// Serializes the table's entries and activation counter.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.activations_seen);

@@ -112,13 +112,6 @@ impl<S: Default + Clone> HomeMemory<S> {
         self.state.allocated_bytes() + self.data.allocated_bytes()
     }
 
-    /// The retired-container cost estimate for the same peak populations
-    /// (the home maps were `FastHashMap`s; the B-tree formula is within the
-    /// same ballpark and keeps one documented estimator).
-    pub fn retired_bytes_estimate(&self) -> u64 {
-        self.state.retired_container_bytes_estimate() + self.data.retired_container_bytes_estimate()
-    }
-
     /// Serializes the mutable home-side state (protocol state table, DRAM
     /// data versions, access counter). Node, home map, and latency are
     /// config-derived and restored by construction.

@@ -116,12 +116,6 @@ impl<E> MshrTable<E> {
         self.entries.allocated_bytes()
     }
 
-    /// The retired-`BTreeMap` cost estimate for the same peak population
-    /// (see [`LineTable::retired_container_bytes_estimate`]).
-    pub fn retired_bytes_estimate(&self) -> u64 {
-        self.entries.retired_container_bytes_estimate()
-    }
-
     /// (total allocations, allocations rejected for capacity) counters.
     pub fn counters(&self) -> (u64, u64) {
         (self.allocations, self.capacity_stalls)

@@ -438,12 +438,6 @@ impl WritebackPlane {
         self.buffer.allocated_bytes() + self.windows.allocated_bytes()
     }
 
-    /// The retired-`BTreeMap` cost estimate for the same peak populations.
-    pub fn retired_bytes_estimate(&self) -> u64 {
-        self.buffer.retired_container_bytes_estimate()
-            + self.windows.retired_container_bytes_estimate()
-    }
-
     /// Serializes the plane: the buffered lines then the handshake windows.
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.buffer.save_state(w, emit_mosi_line);
@@ -984,6 +978,5 @@ mod tests {
         assert_eq!(buffer_peak, 6);
         assert_eq!(window_peak, 0);
         assert!(plane.state_bytes() > 0);
-        assert!(plane.retired_bytes_estimate() > 0);
     }
 }

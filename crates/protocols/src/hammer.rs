@@ -600,9 +600,6 @@ impl CoherenceController for HammerController {
             state_bytes: self.mshrs.state_bytes()
                 + self.wb.state_bytes()
                 + self.memory.state_bytes(),
-            retired_bytes_est: self.mshrs.retired_bytes_estimate()
-                + self.wb.retired_bytes_estimate()
-                + self.memory.retired_bytes_estimate(),
         }
     }
 

@@ -281,14 +281,8 @@ impl Server {
 // Connection handling
 // ---------------------------------------------------------------------------
 
-fn json_line(fields: Vec<(&str, Json)>) -> String {
-    let obj = Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    format!("{obj}\n")
+fn json_line<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> String {
+    format!("{}\n", Json::obj(fields))
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -320,11 +314,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 state.draining = true;
             }
             shared.work_ready.notify_all();
-            let body = json_line(vec![("draining", Json::Bool(true))]);
+            let body = json_line([("draining", Json::Bool(true))]);
             let _ = write_response(&mut stream, 200, "OK", "application/json", body.as_bytes());
         }
         _ => {
-            let body = json_line(vec![(
+            let body = json_line([(
                 "error",
                 Json::Str(format!("no route for {} {}", request.method, request.path)),
             )]);
@@ -343,7 +337,7 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => {
-            let body = json_line(vec![("error", Json::Str("body is not UTF-8".to_string()))]);
+            let body = json_line([("error", Json::Str("body is not UTF-8".to_string()))]);
             let _ = write_response(
                 &mut stream,
                 400,
@@ -376,7 +370,7 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
     let (job_id, points_total, priority) = {
         let mut state = shared.state.lock().unwrap();
         if state.draining {
-            let body = json_line(vec![(
+            let body = json_line([(
                 "error",
                 Json::Str("server is draining; submission rejected".to_string()),
             )]);
@@ -420,9 +414,9 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
         Ok(chunked) => chunked,
         Err(_) => return,
     };
-    let ack = json_line(vec![
+    let ack = json_line([
         ("job", Json::Str(JobId(job_id).to_string())),
-        ("points", Json::Num(points_total.to_string())),
+        ("points", Json::u64(points_total as u64)),
         ("priority", Json::Str(priority.name().to_string())),
     ]);
     if chunked.chunk(ack.as_bytes()).is_err() {
@@ -436,17 +430,17 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
                 }
             }
             StreamEvent::Done { ran, cache_hits } => {
-                let line = json_line(vec![
+                let line = json_line([
                     ("done", Json::Bool(true)),
                     ("job", Json::Str(JobId(job_id).to_string())),
-                    ("ran", Json::Num(ran.to_string())),
-                    ("cache_hits", Json::Num(cache_hits.to_string())),
+                    ("ran", Json::u64(ran as u64)),
+                    ("cache_hits", Json::u64(cache_hits as u64)),
                 ]);
                 let _ = chunked.chunk(line.as_bytes());
                 break;
             }
             StreamEvent::Failed(message) => {
-                let line = json_line(vec![
+                let line = json_line([
                     ("done", Json::Bool(false)),
                     ("job", Json::Str(JobId(job_id).to_string())),
                     ("error", Json::Str(message)),

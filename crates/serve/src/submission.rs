@@ -46,9 +46,9 @@ impl SubmitError {
 
     /// Renders the error as the JSON object the server returns with a 400.
     pub fn to_json(&self) -> String {
-        let obj = Json::Obj(vec![
-            ("error".to_string(), Json::Str(self.message.clone())),
-            ("field".to_string(), Json::Str(self.field.clone())),
+        let obj = Json::obj([
+            ("error", Json::Str(self.message.clone())),
+            ("field", Json::Str(self.field.clone())),
         ]);
         obj.to_string()
     }
@@ -77,12 +77,8 @@ pub struct Submission {
 // Serialization (client side)
 // ---------------------------------------------------------------------------
 
-fn num_u64(v: u64) -> Json {
-    Json::Num(v.to_string())
-}
-
 fn num_usize(v: usize) -> Json {
-    Json::Num(v.to_string())
+    Json::u64(v as u64)
 }
 
 /// `{:?}` is Rust's shortest-round-trip float formatting: parsing the token
@@ -93,96 +89,84 @@ fn num_f64(v: f64) -> Json {
 }
 
 fn cache_to_json(c: &CacheConfig) -> Json {
-    Json::Obj(vec![
-        ("size_bytes".to_string(), num_u64(c.size_bytes)),
-        ("associativity".to_string(), num_usize(c.associativity)),
-        ("latency_ns".to_string(), num_u64(c.latency_ns)),
+    Json::obj([
+        ("size_bytes", Json::u64(c.size_bytes)),
+        ("associativity", num_usize(c.associativity)),
+        ("latency_ns", Json::u64(c.latency_ns)),
     ])
 }
 
 fn config_to_json(c: &SystemConfig) -> Json {
-    Json::Obj(vec![
-        ("num_nodes".to_string(), num_usize(c.num_nodes)),
-        ("block_bytes".to_string(), num_u64(c.block_bytes)),
-        ("l1".to_string(), cache_to_json(&c.l1)),
-        ("l2".to_string(), cache_to_json(&c.l2)),
-        ("dram_latency_ns".to_string(), num_u64(c.dram_latency_ns)),
+    Json::obj([
+        ("num_nodes", num_usize(c.num_nodes)),
+        ("block_bytes", Json::u64(c.block_bytes)),
+        ("l1", cache_to_json(&c.l1)),
+        ("l2", cache_to_json(&c.l2)),
+        ("dram_latency_ns", Json::u64(c.dram_latency_ns)),
+        ("controller_latency_ns", Json::u64(c.controller_latency_ns)),
         (
-            "controller_latency_ns".to_string(),
-            num_u64(c.controller_latency_ns),
-        ),
-        (
-            "interconnect".to_string(),
-            Json::Obj(vec![
+            "interconnect",
+            Json::obj([
                 (
-                    "topology".to_string(),
+                    "topology",
                     Json::Str(c.interconnect.topology.name().to_string()),
                 ),
                 (
-                    "link_bandwidth_bytes_per_ns".to_string(),
+                    "link_bandwidth_bytes_per_ns",
                     num_f64(c.interconnect.link_bandwidth_bytes_per_ns),
                 ),
+                ("link_latency_ns", Json::u64(c.interconnect.link_latency_ns)),
                 (
-                    "link_latency_ns".to_string(),
-                    num_u64(c.interconnect.link_latency_ns),
-                ),
-                (
-                    "bandwidth".to_string(),
+                    "bandwidth",
                     Json::Str(bandwidth_name(c.interconnect.bandwidth).to_string()),
                 ),
             ]),
         ),
         (
-            "processor".to_string(),
-            Json::Obj(vec![
+            "processor",
+            Json::obj([
                 (
-                    "max_outstanding_misses".to_string(),
+                    "max_outstanding_misses",
                     num_usize(c.processor.max_outstanding_misses),
                 ),
+                ("overlap_window", num_usize(c.processor.overlap_window)),
                 (
-                    "overlap_window".to_string(),
-                    num_usize(c.processor.overlap_window),
-                ),
-                (
-                    "ops_per_transaction".to_string(),
+                    "ops_per_transaction",
                     num_usize(c.processor.ops_per_transaction),
                 ),
             ]),
         ),
+        ("protocol", Json::Str(c.protocol.name().to_string())),
         (
-            "protocol".to_string(),
-            Json::Str(c.protocol.name().to_string()),
-        ),
-        (
-            "directory_mode".to_string(),
+            "directory_mode",
             Json::Str(directory_name(c.directory_mode).to_string()),
         ),
         (
-            "token".to_string(),
-            Json::Obj(vec![
+            "token",
+            Json::obj([
                 (
-                    "tokens_per_block".to_string(),
-                    num_u64(u64::from(c.token.tokens_per_block)),
+                    "tokens_per_block",
+                    Json::u64(u64::from(c.token.tokens_per_block)),
                 ),
                 (
-                    "reissues_before_persistent".to_string(),
-                    num_u64(u64::from(c.token.reissues_before_persistent)),
+                    "reissues_before_persistent",
+                    Json::u64(u64::from(c.token.reissues_before_persistent)),
                 ),
                 (
-                    "reissue_latency_multiplier".to_string(),
+                    "reissue_latency_multiplier",
                     num_f64(c.token.reissue_latency_multiplier),
                 ),
                 (
-                    "persistent_latency_multiplier".to_string(),
+                    "persistent_latency_multiplier",
                     num_f64(c.token.persistent_latency_multiplier),
                 ),
                 (
-                    "migratory_optimization".to_string(),
+                    "migratory_optimization",
                     Json::Bool(c.token.migratory_optimization),
                 ),
             ]),
         ),
-        ("seed".to_string(), num_u64(c.seed)),
+        ("seed", Json::u64(c.seed)),
     ])
 }
 
@@ -209,38 +193,29 @@ impl Submission {
             .points
             .iter()
             .map(|p| {
-                Json::Obj(vec![
-                    ("label".to_string(), Json::Str(p.label.clone())),
-                    ("config".to_string(), config_to_json(&p.config)),
-                    (
-                        "workload".to_string(),
-                        Json::Str(p.workload.name.to_string()),
-                    ),
-                    ("faults".to_string(), Json::Str(p.faults.to_string())),
+                Json::obj([
+                    ("label", Json::Str(p.label.clone())),
+                    ("config", config_to_json(&p.config)),
+                    ("workload", Json::Str(p.workload.name.to_string())),
+                    ("faults", Json::Str(p.faults.to_string())),
                 ])
             })
             .collect();
-        Json::Obj(vec![
+        Json::obj([
+            ("priority", Json::Str(self.priority.name().to_string())),
+            ("ops_per_node", Json::u64(o.ops_per_node)),
+            ("max_cycles", Json::u64(o.max_cycles)),
+            ("faults", Json::Str(o.faults.to_string())),
+            ("adversary", Json::Str(o.adversary.to_string())),
             (
-                "priority".to_string(),
-                Json::Str(self.priority.name().to_string()),
-            ),
-            ("ops_per_node".to_string(), num_u64(o.ops_per_node)),
-            ("max_cycles".to_string(), num_u64(o.max_cycles)),
-            ("faults".to_string(), Json::Str(o.faults.to_string())),
-            ("adversary".to_string(), Json::Str(o.adversary.to_string())),
-            (
-                "livelock_events_budget".to_string(),
-                num_u64(o.livelock_events_budget),
+                "livelock_events_budget",
+                Json::u64(o.livelock_events_budget),
             ),
             (
-                "checkpoint_every".to_string(),
-                match o.checkpoint_every {
-                    Some(n) => num_u64(n),
-                    None => Json::Null,
-                },
+                "checkpoint_every",
+                o.checkpoint_every.map_or(Json::Null, Json::u64),
             ),
-            ("points".to_string(), Json::Arr(points)),
+            ("points", Json::Arr(points)),
         ])
         .to_string()
     }

@@ -29,7 +29,8 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 /// * v3 — fault/adversary plane state carries per-source-node RNG streams
 ///   (empty in single-stream mode); `EngineStats` carries shard telemetry;
 ///   the runner fingerprint folds in `RunOptions::shards`.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// * v4 — `LineStateStats` drops the retired-container byte estimate.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot or journal could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

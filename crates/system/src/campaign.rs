@@ -8,8 +8,7 @@
 //! never results. The returned [`CampaignReport`] holds the per-point
 //! [`RunReport`]s in submission order (whatever order the workers finished
 //! in) plus the aggregate tables the paper's figures are built from, and
-//! serializes to JSON with a hand-rolled writer (the offline build
-//! environment has no serde).
+//! serializes to JSON through [`tc_types::Json`].
 //!
 //! ```no_run
 //! use tc_system::campaign::Campaign;
@@ -40,7 +39,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use tc_protocols::ProtocolRegistry;
-use tc_types::{InvariantViolation, TrafficClass};
+use tc_types::{InvariantViolation, Json, TrafficClass};
 
 use crate::experiment::ExperimentPoint;
 use crate::report::RunReport;
@@ -710,64 +709,64 @@ impl CampaignReport {
     }
 
     /// Serializes the whole campaign — per-point reports and the three
-    /// aggregates — as JSON, using a hand-rolled writer (the offline build
-    /// has no serde; same policy as `BENCH_engine.json`).
+    /// aggregates — as compact JSON.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.open('{');
-        w.field_u64("points", self.runs.len() as u64);
-        w.field_u64("threads", self.threads as u64);
-        w.field_u64("ops_per_node", self.options.ops_per_node);
-        w.field_u64("max_cycles", self.options.max_cycles);
-        w.field_str("faults", &self.options.faults.to_string());
-        w.field_str("adversary", &self.options.adversary.to_string());
-        w.field_f64("wall_seconds", self.wall_seconds, 3);
-        w.key("runs");
-        w.open('[');
-        for run in &self.runs {
-            write_run_object(&mut w, &run.label, &run.report);
-        }
-        w.close(']');
-        w.key("normalized_runtime");
-        w.open('[');
-        for row in self.runtime_rows() {
-            w.open('{');
-            w.field_str("label", &row.label);
-            w.field_f64("cycles_per_transaction", row.cycles_per_transaction, 2);
-            w.field_f64("normalized", row.normalized, 4);
-            w.close('}');
-        }
-        w.close(']');
-        w.key("traffic_bytes_per_miss");
-        w.open('[');
-        for row in self.traffic_rows() {
-            w.open('{');
-            w.field_str("label", &row.label);
-            for (class, bytes) in &row.per_class {
-                w.field_f64(class_key(*class), *bytes, 2);
-            }
-            w.field_f64("total", row.total, 2);
-            w.close('}');
-        }
-        w.close(']');
-        w.key("miss_latency");
-        w.open('[');
-        for row in self.miss_latency_rows() {
-            w.open('{');
-            w.field_str("label", &row.label);
-            w.field_u64("misses", row.misses);
-            w.field_f64("avg_latency_ns", row.avg_latency_ns, 2);
-            w.field_u64("p50_latency_ns", row.p50_latency_ns);
-            w.field_u64("p99_latency_ns", row.p99_latency_ns);
-            w.field_u64("max_latency_ns", row.max_latency_ns);
-            w.field_u64("completion_skew_ppm", row.completion_skew_ppm);
-            w.field_f64("cache_to_cache_pct", row.cache_to_cache_pct, 2);
-            w.field_f64("reissued_pct", row.reissued_pct, 3);
-            w.close('}');
-        }
-        w.close(']');
-        w.close('}');
-        w.finish()
+        let runtime = self.runtime_rows().into_iter().map(|row| {
+            Json::obj([
+                ("label", Json::Str(row.label)),
+                (
+                    "cycles_per_transaction",
+                    Json::fixed(row.cycles_per_transaction, 2),
+                ),
+                ("normalized", Json::fixed(row.normalized, 4)),
+            ])
+        });
+        let traffic = self.traffic_rows().into_iter().map(|row| {
+            let classes = row
+                .per_class
+                .iter()
+                .map(|&(class, bytes)| (class_key(class), Json::fixed(bytes, 2)));
+            Json::obj(
+                std::iter::once(("label", Json::Str(row.label)))
+                    .chain(classes)
+                    .chain([("total", Json::fixed(row.total, 2))]),
+            )
+        });
+        let miss_latency = self.miss_latency_rows().into_iter().map(|row| {
+            Json::obj([
+                ("label", Json::Str(row.label)),
+                ("misses", Json::u64(row.misses)),
+                ("avg_latency_ns", Json::fixed(row.avg_latency_ns, 2)),
+                ("p50_latency_ns", Json::u64(row.p50_latency_ns)),
+                ("p99_latency_ns", Json::u64(row.p99_latency_ns)),
+                ("max_latency_ns", Json::u64(row.max_latency_ns)),
+                ("completion_skew_ppm", Json::u64(row.completion_skew_ppm)),
+                ("cache_to_cache_pct", Json::fixed(row.cache_to_cache_pct, 2)),
+                ("reissued_pct", Json::fixed(row.reissued_pct, 3)),
+            ])
+        });
+        Json::obj([
+            ("points", Json::u64(self.runs.len() as u64)),
+            ("threads", Json::u64(self.threads as u64)),
+            ("ops_per_node", Json::u64(self.options.ops_per_node)),
+            ("max_cycles", Json::u64(self.options.max_cycles)),
+            ("faults", Json::Str(self.options.faults.to_string())),
+            ("adversary", Json::Str(self.options.adversary.to_string())),
+            ("wall_seconds", Json::fixed(self.wall_seconds, 3)),
+            (
+                "runs",
+                Json::Arr(
+                    self.runs
+                        .iter()
+                        .map(|run| run_json(&run.label, &run.report))
+                        .collect(),
+                ),
+            ),
+            ("normalized_runtime", Json::Arr(runtime.collect())),
+            ("traffic_bytes_per_miss", Json::Arr(traffic.collect())),
+            ("miss_latency", Json::Arr(miss_latency.collect())),
+        ])
+        .to_string()
     }
 }
 
@@ -778,55 +777,70 @@ impl CampaignReport {
 /// contract rather than a semantic one. Every field is a deterministic
 /// function of the simulation (no wall-clock, no thread count).
 pub fn run_to_json(label: &str, report: &RunReport) -> String {
-    let mut w = JsonWriter::new();
-    write_run_object(&mut w, label, report);
-    w.finish()
+    run_json(label, report).to_string()
 }
 
 /// The shared body behind [`run_to_json`] and [`CampaignReport::to_json`].
-fn write_run_object(w: &mut JsonWriter, label: &str, r: &RunReport) {
-    w.open('{');
-    w.field_str("label", label);
-    w.field_str("protocol", r.protocol.name());
-    w.field_str("topology", r.topology.name());
-    w.field_str("workload", &r.workload);
-    w.field_u64("num_nodes", r.num_nodes as u64);
-    w.field_u64("runtime_cycles", r.runtime_cycles);
-    w.field_u64("total_ops", r.total_ops);
-    w.field_u64("total_transactions", r.total_transactions);
-    w.field_f64("cycles_per_transaction", r.cycles_per_transaction(), 2);
-    w.field_u64("misses", r.misses.total_misses());
-    w.field_f64("avg_miss_latency_ns", r.misses.average_miss_latency(), 2);
-    w.field_u64("miss_latency_p50_ns", r.miss_latency_p50);
-    w.field_u64("miss_latency_p99_ns", r.miss_latency_p99);
-    w.field_u64("miss_latency_max_ns", r.miss_latency_max);
-    w.field_u64("completion_skew_ppm", r.completion_skew_ppm);
-    w.field_f64("bytes_per_miss", r.bytes_per_miss(), 2);
-    w.field_u64("events_delivered", r.engine.events_delivered);
-    w.field_u64("peak_state_entries", r.engine.state.total_entries());
-    w.field_u64("peak_state_bytes", r.engine.state.state_bytes);
-    w.field_str("faults", &r.faults.to_string());
+fn run_json(label: &str, r: &RunReport) -> Json {
+    let mut members = vec![
+        ("label", Json::Str(label.to_string())),
+        ("protocol", Json::Str(r.protocol.name().to_string())),
+        ("topology", Json::Str(r.topology.name().to_string())),
+        ("workload", Json::Str(r.workload.clone())),
+        ("num_nodes", Json::u64(r.num_nodes as u64)),
+        ("runtime_cycles", Json::u64(r.runtime_cycles)),
+        ("total_ops", Json::u64(r.total_ops)),
+        ("total_transactions", Json::u64(r.total_transactions)),
+        (
+            "cycles_per_transaction",
+            Json::fixed(r.cycles_per_transaction(), 2),
+        ),
+        ("misses", Json::u64(r.misses.total_misses())),
+        (
+            "avg_miss_latency_ns",
+            Json::fixed(r.misses.average_miss_latency(), 2),
+        ),
+        ("miss_latency_p50_ns", Json::u64(r.miss_latency_p50)),
+        ("miss_latency_p99_ns", Json::u64(r.miss_latency_p99)),
+        ("miss_latency_max_ns", Json::u64(r.miss_latency_max)),
+        ("completion_skew_ppm", Json::u64(r.completion_skew_ppm)),
+        ("bytes_per_miss", Json::fixed(r.bytes_per_miss(), 2)),
+        ("events_delivered", Json::u64(r.engine.events_delivered)),
+        (
+            "peak_state_entries",
+            Json::u64(r.engine.state.total_entries()),
+        ),
+        ("peak_state_bytes", Json::u64(r.engine.state.state_bytes)),
+        ("faults", Json::Str(r.faults.to_string())),
+    ];
     if !r.faults.is_none() {
         let fs = &r.engine.faults;
-        w.field_u64("faults_dropped", fs.dropped);
-        w.field_u64("faults_duplicated", fs.duplicated);
-        w.field_u64("faults_delayed", fs.delayed);
-        w.field_u64("faults_reordered", fs.reordered);
-        w.field_u64("faults_link_deferred", fs.link_deferred);
-        w.field_u64("reissue_timeouts", fs.reissue_timeouts);
-        w.field_u64("persistent_activations", fs.persistent_activations);
-        w.field_u64("max_recovery_ns", fs.max_recovery_ns);
+        members.extend([
+            ("faults_dropped", Json::u64(fs.dropped)),
+            ("faults_duplicated", Json::u64(fs.duplicated)),
+            ("faults_delayed", Json::u64(fs.delayed)),
+            ("faults_reordered", Json::u64(fs.reordered)),
+            ("faults_link_deferred", Json::u64(fs.link_deferred)),
+            ("reissue_timeouts", Json::u64(fs.reissue_timeouts)),
+            (
+                "persistent_activations",
+                Json::u64(fs.persistent_activations),
+            ),
+            ("max_recovery_ns", Json::u64(fs.max_recovery_ns)),
+        ]);
     }
     if !r.adversary.is_none() {
-        w.field_str("adversary", &r.adversary.to_string());
         let adv = &r.engine.adversary;
-        w.field_u64("adversary_reordered", adv.reordered);
-        w.field_u64("adversary_targeted", adv.targeted);
-        w.field_u64("adversary_stormed", adv.stormed);
-        w.field_u64("adversary_max_skew_ns", adv.max_skew_ns);
+        members.extend([
+            ("adversary", Json::Str(r.adversary.to_string())),
+            ("adversary_reordered", Json::u64(adv.reordered)),
+            ("adversary_targeted", Json::u64(adv.targeted)),
+            ("adversary_stormed", Json::u64(adv.stormed)),
+            ("adversary_max_skew_ns", Json::u64(adv.max_skew_ns)),
+        ]);
     }
-    w.field_u64("violations", r.violations.len() as u64);
-    w.close('}');
+    members.push(("violations", Json::u64(r.violations.len() as u64)));
+    Json::obj(members)
 }
 
 /// Stable JSON key for a traffic class.
@@ -837,98 +851,6 @@ fn class_key(class: TrafficClass) -> &'static str {
         TrafficClass::DataResponseOrWriteback => "data_or_writeback",
         TrafficClass::OtherControl => "other_control",
         TrafficClass::ReissueOrPersistent => "reissue_or_persistent",
-    }
-}
-
-/// A minimal hand-rolled JSON emitter: objects, arrays, strings, and
-/// numbers, with comma placement handled by tracking whether the current
-/// container already has a member. Kept private to this module — it emits
-/// exactly the subset [`CampaignReport::to_json`] needs.
-struct JsonWriter {
-    out: String,
-    /// Whether the innermost open container already holds a member.
-    has_member: Vec<bool>,
-}
-
-impl JsonWriter {
-    fn new() -> Self {
-        JsonWriter {
-            out: String::new(),
-            has_member: Vec::new(),
-        }
-    }
-
-    fn comma(&mut self) {
-        if let Some(has) = self.has_member.last_mut() {
-            if *has {
-                self.out.push(',');
-            }
-            *has = true;
-        }
-    }
-
-    fn open(&mut self, bracket: char) {
-        self.comma();
-        self.out.push(bracket);
-        self.has_member.push(false);
-    }
-
-    fn close(&mut self, bracket: char) {
-        self.out.push(bracket);
-        self.has_member.pop();
-    }
-
-    /// Emits `"key":`, leaving the value to the next `open` call. The
-    /// pending-comma state is cleared so that `open` does not emit a second
-    /// comma for the same member.
-    fn key(&mut self, key: &str) {
-        self.comma();
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\":");
-        if let Some(has) = self.has_member.last_mut() {
-            *has = false;
-        }
-    }
-
-    fn field_str(&mut self, key: &str, value: &str) {
-        self.comma();
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\":\"");
-        for c in value.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-
-    fn field_u64(&mut self, key: &str, value: u64) {
-        self.comma();
-        self.out.push_str(&format!("\"{key}\":{value}"));
-    }
-
-    fn field_f64(&mut self, key: &str, value: f64, decimals: usize) {
-        self.comma();
-        if value.is_finite() {
-            self.out.push_str(&format!("\"{key}\":{value:.decimals$}"));
-        } else {
-            // JSON has no NaN/Infinity; an undefined metric (0 misses makes
-            // bytes-per-miss 0/0) must not masquerade as a measured zero.
-            self.out.push_str(&format!("\"{key}\":null"));
-        }
-    }
-
-    fn finish(self) -> String {
-        debug_assert!(self.has_member.is_empty(), "unbalanced JSON containers");
-        self.out
     }
 }
 
@@ -1172,15 +1094,6 @@ mod tests {
         assert!(json.contains("\"events_delivered\":"));
     }
 
-    #[test]
-    fn json_escapes_quotes_and_backslashes_in_labels() {
-        let mut w = JsonWriter::new();
-        w.open('{');
-        w.field_str("label", "a \"quoted\\label\"\n");
-        w.close('}');
-        assert_eq!(w.finish(), "{\"label\":\"a \\\"quoted\\\\label\\\"\\n\"}");
-    }
-
     /// The slow-sink contract: when the consumer lags the workers, the
     /// reorder buffer must stay bounded by the worker count (workers block
     /// on the emitter lock rather than piling completed runs up without
@@ -1217,9 +1130,9 @@ mod tests {
         assert!(summary.verified().is_ok());
     }
 
-    /// The wire-format satellite: the hand-rolled writer's output must be
-    /// accepted by the hand-rolled reader, and re-serialize byte-identically
-    /// (the reader preserves member order and raw number tokens).
+    /// The wire-format contract: the writer's output must be accepted by
+    /// the reader, and re-serialize byte-identically (the reader preserves
+    /// member order and raw number tokens).
     #[test]
     fn campaign_json_parses_and_reserializes_byte_identically() {
         let report = Campaign::new(small_points())

@@ -437,9 +437,6 @@ pub(crate) fn emit_violation(w: &mut SnapWriter, v: &InvariantViolation) {
             w.u64(expected_version);
             w.u64(at);
         }
-        // Tag 6 was the four-field Starvation without `waited`; tag 9 is the
-        // five-field replacement. Tag 6 is still *read* (below) for
-        // compatibility with pre-existing snapshots, never written.
         InvariantViolation::Starvation {
             node,
             addr,
@@ -518,20 +515,6 @@ pub(crate) fn read_violation(r: &mut SnapReader<'_>) -> Result<InvariantViolatio
             expected_version: r.u64()?,
             at: r.u64()?,
         },
-        6 => {
-            // Legacy four-field Starvation: derive the wait it implied.
-            let node = NodeId::new(r.u32()? as usize);
-            let addr = BlockAddr::new(r.u64()?);
-            let issued_at = r.u64()?;
-            let at = r.u64()?;
-            InvariantViolation::Starvation {
-                node,
-                addr,
-                issued_at,
-                at,
-                waited: at.saturating_sub(issued_at),
-            }
-        }
         7 => InvariantViolation::Livelock {
             node: NodeId::new(r.u32()? as usize),
             addr: BlockAddr::new(r.u64()?),
@@ -846,8 +829,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_tag6_starvation_still_decodes() {
-        // Hand-rolled pre-`waited` wire bytes: tag 6 with four fields.
+    fn tag6_starvation_is_rejected_as_corrupt() {
+        // Tag 6 was the four-field Starvation that predates `waited`. No
+        // current-version snapshot carries it, so it decodes as corrupt.
         let mut w = SnapWriter::new();
         w.u8(6);
         w.u32(4);
@@ -855,16 +839,9 @@ mod tests {
         w.u64(200);
         w.u64(90_200);
         let bytes = w.into_bytes();
-        let v = read_violation(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(
-            v,
-            InvariantViolation::Starvation {
-                node: NodeId::new(4),
-                addr: BlockAddr::new(11),
-                issued_at: 200,
-                at: 90_200,
-                waited: 90_000,
-            }
+            read_violation(&mut SnapReader::new(&bytes)),
+            Err(SnapshotError::Corrupt("violation tag 6".to_string()))
         );
     }
 }

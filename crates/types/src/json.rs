@@ -1,22 +1,22 @@
-//! A minimal JSON value type: the matching *reader* for the hand-rolled
-//! campaign JSON writer (the offline build environment has no serde).
+//! A minimal JSON value type: the workspace's one JSON writer and reader
+//! (the offline build environment has no serde).
 //!
-//! The writer side of the workspace ([`tc_system`'s campaign serializer and
-//! the serve wire format]) emits compact JSON with a fixed escaping policy.
-//! This module parses that JSON back into a [`Json`] tree — and re-emits it
-//! *byte-identically*: numbers are kept as their raw source tokens and
-//! object members preserve insertion order, so
-//! `Json::parse(text)?.to_string() == text` holds for everything the
-//! workspace writers produce. That round-trip is pinned by tests and is what
-//! lets the campaign service's clients parse, inspect, and forward streamed
-//! reports without perturbing a byte.
+//! Writers build a [`Json`] tree — [`Json::obj`], [`Json::u64`] and
+//! [`Json::fixed`] cover the common members — and render it with `Display`
+//! as compact JSON with a fixed escaping policy. The reader parses such
+//! JSON back into a [`Json`] tree and re-emits it *byte-identically*:
+//! numbers are kept as their raw source tokens and object members preserve
+//! insertion order, so `Json::parse(text)?.to_string() == text` holds for
+//! everything the workspace writes. That round-trip is pinned by tests and
+//! is what lets the campaign service's clients parse, inspect, and forward
+//! streamed reports without perturbing a byte.
 //!
 //! The parser accepts standard JSON (insignificant whitespace, all escape
 //! forms, nested containers up to a fixed depth) and rejects everything else
 //! with a [`JsonError`] carrying the byte offset — it parses untrusted
 //! network input, so there is a hard recursion limit and no panics.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum container nesting depth the parser accepts. Deep enough for any
 /// report the workspace emits, shallow enough that adversarial input cannot
@@ -83,6 +83,32 @@ impl Json {
         Ok(value)
     }
 
+    /// An object from `(key, value)` members, in order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
+
+    /// An unsigned integer.
+    pub fn u64(value: u64) -> Json {
+        Json::Num(value.to_string())
+    }
+
+    /// `value` with exactly `decimals` fractional digits, or `null` when it
+    /// is not finite: JSON has no NaN or infinity, and an undefined metric
+    /// must not masquerade as a measured number.
+    pub fn fixed(value: f64, decimals: usize) -> Json {
+        if value.is_finite() {
+            Json::Num(format!("{value:.decimals$}"))
+        } else {
+            Json::Null
+        }
+    }
+
     /// Object member lookup (first match); `None` on non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -140,26 +166,36 @@ impl Json {
     }
 }
 
-/// Appends `value` to `out` with the workspace writers' escaping policy:
-/// `"` and `\` are backslash-escaped, `\n` stays readable, every other
-/// control character becomes `\u00XX`, everything else passes through.
+/// Appends `value` to `out` with the workspace's escaping policy: `"` and
+/// `\` are backslash-escaped, `\n` stays readable, every other control
+/// character becomes `\u00XX`, everything else passes through.
 pub fn escape_json_str_into(out: &mut String, value: &str) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    write_escaped(out, value).expect("writing to a String cannot fail");
+}
+
+fn write_escaped(out: &mut impl fmt::Write, value: &str) -> fmt::Result {
+    // Every byte that needs escaping is ASCII, so scanning bytes never
+    // splits a UTF-8 sequence; the runs between escapes go out whole.
+    let mut start = 0;
+    for (i, &b) in value.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.write_str(&value[start..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        start = i + 1;
     }
+    out.write_str(&value[start..])
 }
 
 impl fmt::Display for Json {
-    /// Compact serialization, byte-identical to what the workspace's JSON
-    /// writers emit (numbers verbatim, members in order, writer escaping).
+    /// Compact serialization: numbers verbatim, members in order, the
+    /// workspace escaping policy.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
@@ -167,36 +203,32 @@ impl fmt::Display for Json {
             Json::Bool(false) => f.write_str("false"),
             Json::Num(tok) => f.write_str(tok),
             Json::Str(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                out.push('"');
-                escape_json_str_into(&mut out, s);
-                out.push('"');
-                f.write_str(&out)
+                f.write_char('"')?;
+                write_escaped(f, s)?;
+                f.write_char('"')
             }
             Json::Arr(items) => {
-                f.write_str("[")?;
+                f.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        f.write_char(',')?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
-                f.write_str("]")
+                f.write_char(']')
             }
             Json::Obj(members) => {
-                f.write_str("{")?;
+                f.write_char('{')?;
                 for (i, (key, value)) in members.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        f.write_char(',')?;
                     }
-                    let mut out = String::with_capacity(key.len() + 3);
-                    out.push('"');
-                    escape_json_str_into(&mut out, key);
-                    out.push_str("\":");
-                    f.write_str(&out)?;
-                    write!(f, "{value}")?;
+                    f.write_char('"')?;
+                    write_escaped(f, key)?;
+                    f.write_str("\":")?;
+                    value.fmt(f)?;
                 }
-                f.write_str("}")
+                f.write_char('}')
             }
         }
     }
@@ -490,6 +522,22 @@ mod tests {
             v.get("label").and_then(Json::as_str),
             Some("a \"quoted\\label\"\n\u{7}")
         );
+    }
+
+    #[test]
+    fn constructors_render_fixed_decimals_and_null_for_non_finite() {
+        let v = Json::obj([
+            ("n", Json::u64(u64::MAX)),
+            ("x", Json::fixed(2.0 / 3.0, 3)),
+            ("r", Json::fixed(1_234_567.5, 0)),
+            ("nan", Json::fixed(f64::NAN, 2)),
+            ("inf", Json::fixed(f64::NEG_INFINITY, 2)),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            "{\"n\":18446744073709551615,\"x\":0.667,\"r\":1234568,\"nan\":null,\"inf\":null}"
+        );
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
     }
 
     #[test]

@@ -394,11 +394,6 @@ pub struct LineStateStats {
     pub persistent_peak: u64,
     /// Bytes allocated by the line-state tables backing the above.
     pub state_bytes: u64,
-    /// What the same peak populations would have cost on the retired
-    /// `BTreeMap`/`HashMap` plane (documented estimate; see
-    /// `tc_memsys::LineTable::retired_container_bytes_estimate`) — the
-    /// before/after comparison `BENCH_engine.json` records.
-    pub retired_bytes_est: u64,
 }
 
 impl LineStateStats {
@@ -412,7 +407,6 @@ impl LineStateStats {
         self.home_peak += other.home_peak;
         self.persistent_peak += other.persistent_peak;
         self.state_bytes += other.state_bytes;
-        self.retired_bytes_est += other.retired_bytes_est;
     }
 
     /// Total peak entries across every structure.
@@ -433,7 +427,6 @@ impl LineStateStats {
             self.home_peak,
             self.persistent_peak,
             self.state_bytes,
-            self.retired_bytes_est,
         ] {
             w.u64(v);
         }
@@ -448,7 +441,6 @@ impl LineStateStats {
             home_peak: r.u64()?,
             persistent_peak: r.u64()?,
             state_bytes: r.u64()?,
-            retired_bytes_est: r.u64()?,
         })
     }
 }
