@@ -49,7 +49,7 @@ fn usage() -> String {
     }
     out.push_str(
         "  run-one        one point run directly on the engine, with checkpoint/resume \
-         (see `tc-bench run-one --help`... run with no args for its usage)\n",
+         (see `tc-bench run-one --help`)\n",
     );
     out.push_str(
         "  hunt           budgeted adversarial-schedule search for persistent-request \
@@ -686,6 +686,10 @@ fn main() {
             return;
         }
         Some("run-one") => {
+            if args.get(1).map(String::as_str) == Some("--help") {
+                print!("{}", run_one_usage());
+                return;
+            }
             match parse_run_one(&args[1..]) {
                 Ok(options) => run_one(options),
                 Err(message) => {

@@ -1,16 +1,15 @@
 //! State shared by the MOSI baseline protocols: the stable MOSI states, the
 //! home-side writeback-handshake window used by the snooping baseline, the
 //! [`WritebackPlane`] all three baselines keep their in-flight writebacks in,
-//! and the shared L1-hinted hit path / miss accounting helpers.
+//! and the pending-op and store-version vocabulary of their shared cache
+//! side (`crate::mosi`).
 
 use std::collections::VecDeque;
 use std::fmt;
 
-use tc_memsys::{hinted_get, L1Filter, LineTable, SetAssocCache};
+use tc_memsys::LineTable;
 use tc_sim::{SnapReader, SnapWriter, SnapshotError};
-use tc_types::{
-    AccessOutcome, BlockAddr, ControllerStats, Cycle, MissKind, MissStats, NodeId, ReqId,
-};
+use tc_types::{BlockAddr, Cycle, NodeId, ReqId};
 
 /// Stable MOSI cache states used by the Snooping, Directory, and Hammer
 /// baselines.
@@ -498,27 +497,15 @@ pub(crate) fn read_mosi_line(r: &mut SnapReader<'_>) -> Result<MosiLine, Snapsho
     })
 }
 
-/// Emits one [`PendingOp`].
-pub(crate) fn emit_pending_op(w: &mut SnapWriter, op: &PendingOp) {
-    w.u64(op.req_id.value());
-    w.bool(op.write);
-}
-
-/// Reads one [`PendingOp`].
-pub(crate) fn read_pending_op(r: &mut SnapReader<'_>) -> Result<PendingOp, SnapshotError> {
-    Ok(PendingOp {
-        req_id: ReqId::new(r.u64()?),
-        write: r.bool()?,
-    })
-}
-
-fn emit_queued_request(w: &mut SnapWriter, q: &QueuedRequest) {
+/// Emits one [`QueuedRequest`].
+pub(crate) fn emit_queued_request(w: &mut SnapWriter, q: &QueuedRequest) {
     w.u32(q.requester.index() as u32);
     w.bool(q.write);
     w.option(q.req_id, |w, id| w.u64(id.value()));
 }
 
-fn read_queued_request(r: &mut SnapReader<'_>) -> Result<QueuedRequest, SnapshotError> {
+/// Reads one [`QueuedRequest`].
+pub(crate) fn read_queued_request(r: &mut SnapReader<'_>) -> Result<QueuedRequest, SnapshotError> {
     Ok(QueuedRequest {
         requester: NodeId::new(r.u32()? as usize),
         write: r.bool()?,
@@ -592,7 +579,7 @@ impl WbWindow {
 }
 
 // ---------------------------------------------------------------------------
-// Shared hit path and miss accounting.
+// Pending operations and store versions.
 // ---------------------------------------------------------------------------
 
 /// One pending processor operation merged into an outstanding miss — the
@@ -611,145 +598,6 @@ pub struct PendingOp {
 #[inline]
 pub fn version_node_bits(node: NodeId) -> u64 {
     (node.index() as u64 + 1) << 40
-}
-
-/// The shared MOSI hit path: one L1-hinted L2 access serving both the
-/// permission check and (for write hits) the in-place version bump.
-///
-/// Returns `Some(outcome)` when the access hits locally; `None` sends the
-/// caller down its protocol-specific miss path. `read_valid_since_from_line`
-/// selects the read-hit legality bound: the snooping baseline reports the
-/// copy's `valid_since` (unacknowledged ordered broadcasts are coherent but
-/// not wall-clock fresh — see [`MosiLine::valid_since`]), the acknowledged
-/// protocols report `now`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mosi_hit_path(
-    l1: &mut L1Filter,
-    l2: &mut SetAssocCache<MosiLine>,
-    addr: BlockAddr,
-    write: bool,
-    now: Cycle,
-    l2_latency: Cycle,
-    store_counter: &mut u64,
-    node_bits: u64,
-    misses: &mut MissStats,
-    read_valid_since_from_line: bool,
-) -> Option<AccessOutcome> {
-    let (l1_hit, line) = hinted_get(l1, l2, addr);
-    let hit_latency = if l1_hit {
-        l1.latency_ns()
-    } else {
-        l1.latency_ns() + l2_latency
-    };
-    let line = line?;
-    if write && line.state.writable() {
-        *store_counter += 1;
-        let version = node_bits | *store_counter;
-        line.version = version;
-        line.dirty = true;
-        if l1_hit {
-            misses.l1_hits += 1;
-        } else {
-            misses.l2_hits += 1;
-        }
-        return Some(AccessOutcome::Hit {
-            latency: hit_latency,
-            version,
-            valid_since: now,
-        });
-    }
-    if !write && line.state.readable() {
-        let valid_since = if read_valid_since_from_line {
-            line.valid_since
-        } else {
-            now
-        };
-        let version = line.version;
-        if l1_hit {
-            misses.l1_hits += 1;
-        } else {
-            misses.l2_hits += 1;
-        }
-        return Some(AccessOutcome::Hit {
-            latency: hit_latency,
-            version,
-            valid_since,
-        });
-    }
-    None
-}
-
-/// Performs the pending operations of a completing MOSI miss against the
-/// line: stores not granted exclusivity are deferred (left in `deferred`
-/// for re-issue as an upgrade), everything else yields `(req_id, version)`
-/// completions in order. The output buffers are controller-owned scratch —
-/// cleared here and reused across misses so the completion path allocates
-/// nothing in the steady state.
-pub(crate) fn apply_pending_ops<'a>(
-    line: &mut MosiLine,
-    pending: impl Iterator<Item = &'a PendingOp>,
-    granted_exclusive: bool,
-    store_counter: &mut u64,
-    node_bits: u64,
-    completions: &mut Vec<(ReqId, u64)>,
-    deferred: &mut Vec<PendingOp>,
-) {
-    completions.clear();
-    deferred.clear();
-    for op in pending {
-        if op.write && !granted_exclusive {
-            deferred.push(*op);
-            continue;
-        }
-        let version = if op.write {
-            *store_counter += 1;
-            let v = node_bits | *store_counter;
-            line.version = v;
-            line.dirty = true;
-            v
-        } else {
-            line.version
-        };
-        completions.push((op.req_id, version));
-    }
-}
-
-/// The miss classification every protocol shares.
-#[inline]
-pub(crate) fn miss_kind(write: bool, upgrade: bool) -> MissKind {
-    if write {
-        if upgrade {
-            MissKind::Upgrade
-        } else {
-            MissKind::Write
-        }
-    } else {
-        MissKind::Read
-    }
-}
-
-/// Records one completed baseline-protocol miss in the controller statistics
-/// (latency, class histogram, data source, and the never-reissued bucket the
-/// non-token protocols always land in).
-pub(crate) fn record_completed_miss(
-    stats: &mut ControllerStats,
-    kind: MissKind,
-    latency: Cycle,
-    from_cache: bool,
-) {
-    stats.misses.completed_misses += 1;
-    stats.misses.total_miss_latency += latency;
-    match kind {
-        MissKind::Read => stats.misses.read_misses += 1,
-        MissKind::Write => stats.misses.write_misses += 1,
-        MissKind::Upgrade => stats.misses.upgrade_misses += 1,
-    }
-    if from_cache {
-        stats.misses.cache_to_cache += 1;
-    } else {
-        stats.misses.from_memory += 1;
-    }
-    stats.reissue.not_reissued += 1;
 }
 
 #[cfg(test)]

@@ -17,33 +17,20 @@
 
 use std::collections::VecDeque;
 
-use tc_memsys::{HomeMemory, L1Filter, MshrTable, OpList, OpSlab, SetAssocCache};
 use tc_sim::{SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
-    AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
-    Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MsgKind, NodeId, Outbox,
-    ReqId, SystemConfig, Timer, Vnet,
+    AccessOutcome, BlockAddr, CoherenceController, Cycle, DataPayload, Destination, MemOp, Message,
+    MsgKind, NodeId, Outbox, SystemConfig, Vnet,
 };
 
-use crate::common::{
-    apply_pending_ops, emit_mosi_line, emit_pending_op, miss_kind, mosi_hit_path, read_mosi_line,
-    read_pending_op, record_completed_miss, version_node_bits, MosiLine, MosiState, PendingOp,
-    WritebackPlane,
-};
+use crate::common::MosiState;
+use crate::mosi::{mosi_bookkeeping, MosiNode, SnapState};
 
-#[derive(Debug)]
+/// The Hammer MSHR extension: probe responses counted so far, and memory's
+/// copy of the data, which a cache's copy supersedes.
+#[derive(Debug, Default)]
 struct HammerMshr {
-    pending: OpList,
-    write: bool,
-    upgrade: bool,
-    issued_at: Cycle,
-    responses_expected: u32,
     responses_received: u32,
-    data_received: bool,
-    exclusive: bool,
-    version: u64,
-    dirty: bool,
-    from_cache: bool,
     memory_version: u64,
     memory_data_received: bool,
 }
@@ -58,75 +45,15 @@ struct HammerEntry {
 /// The Hammer-protocol controller for one node.
 #[derive(Debug)]
 pub struct HammerController {
-    node: NodeId,
-    num_nodes: usize,
-    home_map: HomeMap,
-    l1: L1Filter,
-    l2: SetAssocCache<MosiLine>,
-    l2_latency: Cycle,
-    controller_latency: Cycle,
-    dram_latency: Cycle,
-    memory: HomeMemory<HammerEntry>,
-    mshrs: MshrTable<HammerMshr>,
-    /// In-flight writebacks (PutM sent, WbAck pending) on the shared plane.
-    wb: WritebackPlane,
-    migratory_optimization: bool,
-    stats: ControllerStats,
-    store_counter: u64,
-    /// Pooled storage for every MSHR entry's pending-op list.
-    pending_ops: OpSlab<PendingOp>,
-    /// Reusable completion/deferral scratch for `apply_pending_ops`.
-    completion_scratch: Vec<(ReqId, u64)>,
-    deferred_scratch: Vec<PendingOp>,
+    core: MosiNode<HammerMshr, HammerEntry>,
 }
 
 impl HammerController {
     /// Creates the Hammer controller for `node` under `config`.
     pub fn new(node: NodeId, config: &SystemConfig) -> Self {
-        let home_map = HomeMap::new(config.num_nodes, config.block_bytes);
         HammerController {
-            node,
-            num_nodes: config.num_nodes,
-            home_map,
-            l1: L1Filter::new(&config.l1, config.block_bytes),
-            l2: SetAssocCache::new(&config.l2, config.block_bytes),
-            l2_latency: config.l2.latency_ns,
-            controller_latency: config.controller_latency_ns,
-            dram_latency: config.dram_latency_ns,
-            memory: HomeMemory::new(node, home_map, config.dram_latency_ns),
-            mshrs: MshrTable::new(config.processor.max_outstanding_misses.max(1)),
-            wb: WritebackPlane::new(),
-            migratory_optimization: config.token.migratory_optimization,
-            stats: ControllerStats::new(),
-            store_counter: 0,
-            pending_ops: OpSlab::new(),
-            completion_scratch: Vec::new(),
-            deferred_scratch: Vec::new(),
+            core: MosiNode::new(node, config, false),
         }
-    }
-
-    fn home_of(&self, addr: BlockAddr) -> NodeId {
-        self.home_map.home_of(addr)
-    }
-
-    fn is_home(&self, addr: BlockAddr) -> bool {
-        self.home_map.is_home(self.node, addr)
-    }
-
-    fn send(&mut self, out: &mut Outbox, msg: Message) {
-        self.stats.messages_sent += 1;
-        out.send(msg);
-    }
-
-    fn unicast(
-        &self,
-        at: Cycle,
-        dest: NodeId,
-        addr: BlockAddr,
-        kind: MsgKind,
-        vnet: Vnet,
-    ) -> Message {
-        Message::new(self.node, Destination::Node(dest), addr, kind, vnet, at)
     }
 
     // ------------------------------------------------------------------
@@ -141,8 +68,8 @@ impl HammerController {
         write: bool,
         out: &mut Outbox,
     ) {
-        debug_assert!(self.is_home(addr));
-        let entry = self.memory.state_mut(addr);
+        debug_assert!(self.core.is_home(addr));
+        let entry = self.core.memory.state_mut(addr);
         if entry.busy {
             entry.queue.push_back((requester, write));
             return;
@@ -159,27 +86,28 @@ impl HammerController {
         write: bool,
         out: &mut Outbox,
     ) {
+        let core = &mut self.core;
         // Probe every node except the requester (including this home node's
         // own cache, which receives the probe like any other node).
-        let probe_targets: Vec<NodeId> = (0..self.num_nodes)
+        let probe_targets: Vec<NodeId> = (0..core.home_map.num_nodes())
             .map(NodeId::new)
             .filter(|n| *n != requester)
             .collect();
         let probe = Message::new(
-            self.node,
+            core.node,
             Destination::multicast(probe_targets),
             addr,
             MsgKind::HammerProbe { requester, write },
             Vnet::Forwarded,
-            now + self.controller_latency,
+            now + core.controller_latency,
         );
-        self.send(out, probe);
-        self.stats.bump("hammer_probes", 1);
+        core.send(out, probe);
+        core.stats.bump("hammer_probes", 1);
 
         // In parallel, memory supplies its copy of the data.
-        let version = self.memory.data_version(addr);
-        let data = self.unicast(
-            now + self.controller_latency + self.dram_latency,
+        let version = core.memory.data_version(addr);
+        core.send_to(
+            now + core.controller_latency + core.dram_latency,
             requester,
             addr,
             MsgKind::Data {
@@ -189,18 +117,14 @@ impl HammerController {
                 payload: DataPayload::new(version),
             },
             Vnet::Response,
+            out,
         );
-        self.send(out, data);
     }
 
     fn home_handle_unblock(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        let next = {
-            let entry = self.memory.state_mut(addr);
-            entry.busy = false;
-            entry.queue.pop_front()
-        };
-        if let Some((requester, write)) = next {
-            let entry = self.memory.state_mut(addr);
+        let entry = self.core.memory.state_mut(addr);
+        entry.busy = false;
+        if let Some((requester, write)) = entry.queue.pop_front() {
             entry.busy = true;
             self.serve_at_home(now, requester, addr, write, out);
         }
@@ -214,24 +138,20 @@ impl HammerController {
         version: u64,
         out: &mut Outbox,
     ) {
-        self.memory.write_data(addr, version);
-        let ack = self.unicast(
-            now + self.controller_latency,
+        self.core.memory.write_data(addr, version);
+        self.core.send_to(
+            now + self.core.controller_latency,
             from,
             addr,
             MsgKind::WbAck,
             Vnet::Response,
+            out,
         );
-        self.send(out, ack);
     }
 
     // ------------------------------------------------------------------
     // Cache side.
     // ------------------------------------------------------------------
-
-    fn line_or_wb(&self, addr: BlockAddr) -> Option<MosiLine> {
-        self.l2.peek(addr).copied().or_else(|| self.wb.line(addr))
-    }
 
     fn handle_probe(
         &mut self,
@@ -241,16 +161,16 @@ impl HammerController {
         write: bool,
         out: &mut Outbox,
     ) {
-        let at = now + self.controller_latency + self.l2_latency;
-        let line = self.line_or_wb(addr);
-        match line {
+        let core = &mut self.core;
+        let at = now + core.controller_latency + core.l2_latency;
+        match core.line_or_wb(addr) {
             Some(line) if line.state.is_owner() => {
                 let migratory = !write
-                    && self.migratory_optimization
+                    && core.migratory_optimization
                     && line.state == MosiState::Modified
                     && line.dirty;
                 let exclusive = write || migratory;
-                let data = self.unicast(
+                core.send_to(
                     at,
                     requester,
                     addr,
@@ -261,26 +181,23 @@ impl HammerController {
                         payload: DataPayload::new(line.version),
                     },
                     Vnet::Response,
+                    out,
                 );
-                self.send(out, data);
                 if exclusive {
-                    self.l2.remove(addr);
-                    self.l1.invalidate(addr);
-                } else if let Some(l) = self.l2.get(addr) {
+                    core.l2.remove(addr);
+                    core.l1.invalidate(addr);
+                } else if let Some(l) = core.l2.get(addr) {
                     l.state = MosiState::Owned;
                 }
             }
-            Some(_) if write => {
-                // A shared copy: invalidate and acknowledge.
-                self.l2.remove(addr);
-                self.l1.invalidate(addr);
-                let ack = self.unicast(at, requester, addr, MsgKind::InvAck, Vnet::Response);
-                self.send(out, ack);
-            }
-            _ => {
-                // Nothing (or a read probe at a plain sharer): acknowledge.
-                let ack = self.unicast(at, requester, addr, MsgKind::InvAck, Vnet::Response);
-                self.send(out, ack);
+            line => {
+                // A write probe invalidates a shared copy. Every non-owner
+                // acknowledges.
+                if line.is_some() && write {
+                    core.l2.remove(addr);
+                    core.l1.invalidate(addr);
+                }
+                core.send_to(at, requester, addr, MsgKind::InvAck, Vnet::Response, out);
             }
         }
     }
@@ -292,16 +209,15 @@ impl HammerController {
         data: Option<(bool, bool, DataPayload)>,
         out: &mut Outbox,
     ) {
-        let Some(mshr) = self.mshrs.get_mut(addr) else {
+        let Some(mshr) = self.core.mshrs.get_mut(addr) else {
             return;
         };
-        mshr.responses_received += 1;
+        mshr.ext.responses_received += 1;
         if let Some((exclusive, from_memory, payload)) = data {
             if from_memory {
-                mshr.memory_data_received = true;
-                mshr.memory_version = payload.version;
+                mshr.ext.memory_data_received = true;
+                mshr.ext.memory_version = payload.version;
             } else {
-                // A cache's copy supersedes memory's possibly stale copy.
                 mshr.data_received = true;
                 mshr.version = payload.version;
                 mshr.dirty = true;
@@ -312,220 +228,49 @@ impl HammerController {
         self.try_complete(now, addr, out);
     }
 
+    /// A miss completes once every node has answered (N-1 probe responses
+    /// plus the memory response) and some data is in; a cache's copy
+    /// supersedes memory's possibly stale one.
     fn try_complete(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        let Some(mshr) = self.mshrs.get(addr) else {
+        let Some(mshr) = self.core.mshrs.get(addr) else {
             return;
         };
-        if mshr.responses_received < mshr.responses_expected {
+        let responses_expected = self.core.home_map.num_nodes() as u32;
+        if mshr.ext.responses_received < responses_expected
+            || !(mshr.data_received || mshr.ext.memory_data_received)
+        {
             return;
         }
-        if !mshr.data_received && !mshr.memory_data_received {
-            return;
-        }
-        let mut mshr = self.mshrs.release(addr).expect("checked above");
-
-        let (version, dirty, from_cache) = if mshr.data_received {
-            (mshr.version, mshr.dirty, true)
+        let version = if mshr.data_received {
+            mshr.version
         } else {
-            (mshr.memory_version, false, false)
+            mshr.ext.memory_version
         };
-        let granted_exclusive = mshr.write || mshr.exclusive;
-        let state = if granted_exclusive {
-            MosiState::Modified
-        } else {
-            MosiState::Shared
-        };
-        let mut line = MosiLine {
-            state,
-            dirty: dirty && state.is_owner(),
-            version,
-            valid_since: mshr.issued_at,
-        };
-        // Stores merged into a read miss wait for an upgrade transaction.
-        apply_pending_ops(
-            &mut line,
-            self.pending_ops.iter(&mshr.pending),
-            granted_exclusive,
-            &mut self.store_counter,
-            version_node_bits(self.node),
-            &mut self.completion_scratch,
-            &mut self.deferred_scratch,
-        );
-        self.pending_ops.clear(&mut mshr.pending);
-        if let Some(victim) = self.l2.insert(addr, line) {
-            self.evict(now, victim.addr, victim.state, out);
-        }
-
-        let kind = miss_kind(mshr.write, mshr.upgrade);
-        for (req_id, v) in self.completion_scratch.drain(..) {
-            out.complete(MissCompletion {
-                req_id,
-                addr,
-                kind,
-                issued_at: mshr.issued_at,
-                completed_at: now,
-                data_version: v,
-                cache_to_cache: from_cache,
-            });
-        }
-
-        let latency = now.saturating_sub(mshr.issued_at);
-        record_completed_miss(&mut self.stats, kind, latency, from_cache);
-
-        let home = self.home_of(addr);
-        let unblock = self.unicast(
-            now + self.controller_latency,
+        self.core.complete(now, addr, version, out);
+        let home = self.core.home_of(addr);
+        self.core.send_to(
+            now + self.core.controller_latency,
             home,
             addr,
             MsgKind::Unblock,
             Vnet::Response,
+            out,
         );
-        self.send(out, unblock);
-
-        // Re-issue merged stores as an upgrade transaction.
-        if !self.deferred_scratch.is_empty() {
-            self.stats.bump("merged_store_upgrades", 1);
-            let mut deferred = OpList::new();
-            for i in 0..self.deferred_scratch.len() {
-                let op = self.deferred_scratch[i];
-                self.pending_ops.push(&mut deferred, op);
-            }
-            self.deferred_scratch.clear();
-            let upgrade = HammerMshr {
-                pending: deferred,
-                write: true,
-                upgrade: true,
-                issued_at: now,
-                responses_expected: self.num_nodes as u32,
-                responses_received: 0,
-                data_received: false,
-                exclusive: false,
-                version: 0,
-                dirty: false,
-                from_cache: false,
-                memory_version: 0,
-                memory_data_received: false,
-            };
-            self.mshrs
-                .allocate(addr, upgrade)
-                .unwrap_or_else(|_| panic!("upgrade MSHR conflict at {}", self.node));
-            let getm = self.unicast(
-                now + self.controller_latency,
-                home,
-                addr,
-                MsgKind::GetM,
-                Vnet::Request,
-            );
-            self.send(out, getm);
-        }
-    }
-
-    fn evict(&mut self, now: Cycle, addr: BlockAddr, line: MosiLine, out: &mut Outbox) {
-        self.l1.invalidate(addr);
-        if line.state.is_owner() {
-            self.stats.misses.writebacks += 1;
-            self.wb.stash(addr, line);
-            let home = self.home_of(addr);
-            let putm = Message::new(
-                self.node,
-                Destination::Node(home),
-                addr,
-                MsgKind::PutM,
-                Vnet::Writeback,
-                now + self.controller_latency,
-            )
-            .with_req_id(ReqId::new(line.version));
-            self.send(out, putm);
-        }
+        self.core.reissue_deferred(now, addr, out);
     }
 }
 
 impl CoherenceController for HammerController {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
     fn protocol_name(&self) -> &'static str {
         "Hammer"
     }
 
     fn access(&mut self, now: Cycle, op: &MemOp, out: &mut Outbox) -> AccessOutcome {
-        let addr = op.addr.block(self.home_map.block_bytes());
-        let write = op.kind.is_write();
-        // Hammer hits are probe/ack-protected, so read hits are wall-clock
-        // fresh (`valid_since = now`).
-        if let Some(outcome) = mosi_hit_path(
-            &mut self.l1,
-            &mut self.l2,
-            addr,
-            write,
-            now,
-            self.l2_latency,
-            &mut self.store_counter,
-            version_node_bits(self.node),
-            &mut self.stats.misses,
-            false,
-        ) {
-            return outcome;
-        }
-
-        let had_copy = self
-            .l2
-            .peek(addr)
-            .map(|l| l.state.readable())
-            .unwrap_or(false);
-        if let Some(mshr) = self.mshrs.get_mut(addr) {
-            self.pending_ops.push(
-                &mut mshr.pending,
-                PendingOp {
-                    req_id: op.id,
-                    write,
-                },
-            );
-            // A later write merged into a read miss simply waits; the miss
-            // will complete with whatever permission was requested first and
-            // the store will retry as an upgrade (kept simple: Hammer is a
-            // baseline).
-            return AccessOutcome::Miss;
-        }
-
-        let mshr = HammerMshr {
-            pending: self.pending_ops.singleton(PendingOp {
-                req_id: op.id,
-                write,
-            }),
-            write,
-            upgrade: write && had_copy,
-            issued_at: now,
-            // N-1 probe responses plus the memory response.
-            responses_expected: self.num_nodes as u32,
-            responses_received: 0,
-            data_received: false,
-            exclusive: false,
-            version: 0,
-            dirty: false,
-            from_cache: false,
-            memory_version: 0,
-            memory_data_received: false,
-        };
-        self.mshrs
-            .allocate(addr, mshr)
-            .unwrap_or_else(|_| panic!("MSHR overflow at {}", self.node));
-        let home = self.home_of(addr);
-        let kind = if write { MsgKind::GetM } else { MsgKind::GetS };
-        let msg = self.unicast(
-            now + self.controller_latency,
-            home,
-            addr,
-            kind,
-            Vnet::Request,
-        );
-        self.send(out, msg);
-        AccessOutcome::Miss
+        self.core.access(now, op, out)
     }
 
     fn handle_message(&mut self, now: Cycle, msg: &Message, out: &mut Outbox) {
-        self.stats.messages_received += 1;
+        self.core.stats.messages_received += 1;
         let addr = msg.addr;
         match &msg.kind {
             MsgKind::GetS => self.home_handle_request(now, msg.src, addr, false, out),
@@ -546,7 +291,7 @@ impl CoherenceController for HammerController {
                 self.home_handle_putm(now, msg.src, addr, version, out);
             }
             MsgKind::WbAck => {
-                self.wb.take(addr);
+                self.core.wb.take(addr);
             }
             other => {
                 debug_assert!(false, "Hammer received unexpected message {other:?}");
@@ -554,146 +299,49 @@ impl CoherenceController for HammerController {
         }
     }
 
-    fn handle_timer(&mut self, _now: Cycle, _timer: Timer, _out: &mut Outbox) {
-        // Hammer arms no timers.
+    mosi_bookkeeping!();
+}
+
+impl SnapState for HammerMshr {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u32(self.responses_received);
+        w.u64(self.memory_version);
+        w.bool(self.memory_data_received);
     }
 
-    fn stats(&self) -> ControllerStats {
-        self.stats.clone()
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(HammerMshr {
+            responses_received: r.u32()?,
+            memory_version: r.u64()?,
+            memory_data_received: r.bool()?,
+        })
+    }
+}
+
+impl SnapState for HammerEntry {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bool(self.busy);
+        w.seq(self.queue.iter(), |w, &(node, write)| {
+            w.u32(node.index() as u32);
+            w.bool(write);
+        });
     }
 
-    fn audit_block(&self, addr: BlockAddr) -> Vec<BlockAudit> {
-        let mut audits = Vec::new();
-        if let Some(line) = self.l2.peek(addr) {
-            audits.push(BlockAudit {
-                tokens: 0,
-                owner_token: line.state.is_owner(),
-                readable: line.state.readable(),
-                writable: line.state.writable(),
-                data_version: line.version,
-                in_memory: false,
-            });
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let busy = r.bool()?;
+        let queue_len = r.bounded_len(5)?;
+        let mut queue = VecDeque::with_capacity(queue_len);
+        for _ in 0..queue_len {
+            queue.push_back((NodeId::new(r.u32()? as usize), r.bool()?));
         }
-        audits
+        Ok(HammerEntry { busy, queue })
     }
-
-    fn audited_blocks(&self) -> Vec<BlockAddr> {
-        self.l2.blocks()
-    }
-
-    fn outstanding_misses(&self) -> usize {
-        self.mshrs.len()
-    }
-
-    fn outstanding_blocks(&self) -> Vec<BlockAddr> {
-        self.mshrs.blocks_sorted()
-    }
-
-    fn line_state_stats(&self) -> LineStateStats {
-        let (wb_buffer_peak, wb_window_peak) = self.wb.peaks();
-        LineStateStats {
-            mshr_peak: self.mshrs.high_water() as u64,
-            wb_buffer_peak,
-            wb_window_peak,
-            home_peak: self.memory.entries_high_water(),
-            persistent_peak: 0,
-            state_bytes: self.mshrs.state_bytes()
-                + self.wb.state_bytes()
-                + self.memory.state_bytes(),
-        }
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.store_counter);
-        self.stats.save_state(w);
-        self.l1.save_state(w);
-        self.l2.save_state(w, emit_mosi_line);
-        self.memory.save_state(w, emit_hammer_entry);
-        self.mshrs
-            .save_state(w, |w, mshr| emit_hammer_mshr(w, mshr, &self.pending_ops));
-        self.wb.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.store_counter = r.u64()?;
-        self.stats = ControllerStats::load_state(r)?;
-        self.l1.load_state(r)?;
-        self.l2.load_state(r, read_mosi_line)?;
-        self.memory.load_state(r, read_hammer_entry)?;
-        // Rebuild the pending-op pool from scratch; handles saved inside the
-        // reloaded MSHR entries are re-minted as they are read.
-        self.pending_ops.reset();
-        let slab = &mut self.pending_ops;
-        self.mshrs.load_state(r, |r| read_hammer_mshr(r, slab))?;
-        self.wb.load_state(r)?;
-        Ok(())
-    }
-}
-
-fn emit_hammer_entry(w: &mut SnapWriter, entry: &HammerEntry) {
-    w.bool(entry.busy);
-    w.seq(entry.queue.iter(), |w, &(node, write)| {
-        w.u32(node.index() as u32);
-        w.bool(write);
-    });
-}
-
-fn read_hammer_entry(r: &mut SnapReader<'_>) -> Result<HammerEntry, SnapshotError> {
-    let busy = r.bool()?;
-    let queue_len = r.bounded_len(5)?;
-    let mut queue = VecDeque::with_capacity(queue_len);
-    for _ in 0..queue_len {
-        queue.push_back((NodeId::new(r.u32()? as usize), r.bool()?));
-    }
-    Ok(HammerEntry { busy, queue })
-}
-
-fn emit_hammer_mshr(w: &mut SnapWriter, mshr: &HammerMshr, slab: &OpSlab<PendingOp>) {
-    w.seq(slab.iter(&mshr.pending), emit_pending_op);
-    w.bool(mshr.write);
-    w.bool(mshr.upgrade);
-    w.u64(mshr.issued_at);
-    w.u32(mshr.responses_expected);
-    w.u32(mshr.responses_received);
-    w.bool(mshr.data_received);
-    w.bool(mshr.exclusive);
-    w.u64(mshr.version);
-    w.bool(mshr.dirty);
-    w.bool(mshr.from_cache);
-    w.u64(mshr.memory_version);
-    w.bool(mshr.memory_data_received);
-}
-
-fn read_hammer_mshr(
-    r: &mut SnapReader<'_>,
-    slab: &mut OpSlab<PendingOp>,
-) -> Result<HammerMshr, SnapshotError> {
-    let pending_len = r.bounded_len(9)?;
-    let mut pending = OpList::new();
-    for _ in 0..pending_len {
-        slab.push(&mut pending, read_pending_op(r)?);
-    }
-    Ok(HammerMshr {
-        pending,
-        write: r.bool()?,
-        upgrade: r.bool()?,
-        issued_at: r.u64()?,
-        responses_expected: r.u32()?,
-        responses_received: r.u32()?,
-        data_received: r.bool()?,
-        exclusive: r.bool()?,
-        version: r.u64()?,
-        dirty: r.bool()?,
-        from_cache: r.bool()?,
-        memory_version: r.u64()?,
-        memory_data_received: r.bool()?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_types::{Address, MemOpKind, MissKind};
+    use tc_types::{Address, MemOpKind, MissKind, ReqId};
 
     fn config() -> SystemConfig {
         SystemConfig::isca03_default()
@@ -812,10 +460,10 @@ mod tests {
             frontier = next;
         }
         assert_eq!(
-            nodes[2].l2.peek(BlockAddr::new(0)).unwrap().state,
+            nodes[2].core.l2.peek(BlockAddr::new(0)).unwrap().state,
             MosiState::Modified
         );
-        let written_version = nodes[2].l2.peek(BlockAddr::new(0)).unwrap().version;
+        let written_version = nodes[2].core.l2.peek(BlockAddr::new(0)).unwrap().version;
 
         // Node 3 now reads the block; the dirty copy at node 2 must win over
         // the stale memory copy.

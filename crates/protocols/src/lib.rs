@@ -19,6 +19,11 @@
 //!   owner, acknowledgements from everyone else), trading directory state and
 //!   lookup latency for broadcast and acknowledgement traffic.
 //!
+//! Their cache side — line states, MSHR merging and completion, the
+//! writeback buffer — is one crate-private MOSI core; each protocol module
+//! adds only its home side, its message handlers and its rule for when a
+//! miss is complete.
+//!
 //! All three implement the same [`tc_types::CoherenceController`] interface
 //! as the TokenB controller in `tc-core`, so the system runner and the
 //! benchmark harness can swap protocols freely.
@@ -35,6 +40,7 @@
 pub mod common;
 pub mod directory;
 pub mod hammer;
+mod mosi;
 pub mod registry;
 pub mod snooping;
 

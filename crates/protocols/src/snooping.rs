@@ -35,39 +35,24 @@
 //! it fundamentally cannot run on the unordered torus, which is exactly the
 //! limitation TokenB removes.
 
-use tc_memsys::{HomeMemory, L1Filter, MshrTable, OpList, OpSlab, SetAssocCache};
 use tc_sim::{SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
-    AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
-    Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MsgKind, NodeId, Outbox,
-    ReqId, SystemConfig, Timer, Vnet,
+    AccessOutcome, BlockAddr, CoherenceController, Cycle, DataPayload, Destination, MemOp, Message,
+    MsgKind, NodeId, Outbox, ReqId, SystemConfig, Vnet,
 };
 
 use crate::common::{
-    apply_pending_ops, emit_mosi_line, emit_pending_op, miss_kind, mosi_hit_path, read_mosi_line,
-    read_pending_op, record_completed_miss, version_node_bits, MosiLine, MosiState, PendingOp,
-    QueuedRequest, WbHandshake, WritebackPlane,
+    emit_queued_request, read_queued_request, MosiState, QueuedRequest, WbHandshake, WbResolution,
 };
+use crate::mosi::{mosi_bookkeeping, MosiNode, SnapState};
 
-#[derive(Debug)]
+/// The snooping MSHR extension. The transaction's request id, which every
+/// data response echoes, is its first pending op's (see
+/// [`crate::mosi::Mshr::request_id`]).
+#[derive(Debug, Default)]
 struct SnoopMshr {
-    pending: OpList,
-    /// The request id this transaction was broadcast under. Every data
-    /// response echoes it, so a late response to an already-completed
-    /// transaction (for example the redundant memory response to an upgrade
-    /// that completed via `still_valid`) can never complete a *later* miss
-    /// for the same block.
-    req_id: ReqId,
-    write: bool,
-    upgrade: bool,
-    issued_at: Cycle,
     /// Whether this node has observed its own request in the total order.
     ordered: bool,
-    data_received: bool,
-    exclusive: bool,
-    version: u64,
-    dirty: bool,
-    from_cache: bool,
     /// Whether the node still held a readable copy when its own request was
     /// ordered (upgrades complete without waiting for data).
     still_valid: bool,
@@ -78,7 +63,7 @@ struct SnoopMshr {
 
 /// Memory-side state: the "owner bit" — true when memory must respond.
 /// Writebacks in flight are tracked separately by the per-block handshake
-/// windows of the [`WritebackPlane`].
+/// windows of the [`crate::common::WritebackPlane`].
 #[derive(Debug, Clone, Copy)]
 struct OwnerBit {
     memory_owner: bool,
@@ -93,82 +78,42 @@ impl Default for OwnerBit {
 /// The snooping controller for one node.
 #[derive(Debug)]
 pub struct SnoopingController {
-    node: NodeId,
-    home_map: HomeMap,
-    l1: L1Filter,
-    l2: SetAssocCache<MosiLine>,
-    l2_latency: Cycle,
-    controller_latency: Cycle,
-    dram_latency: Cycle,
-    memory: HomeMemory<OwnerBit>,
-    mshrs: MshrTable<SnoopMshr>,
-    /// In-flight writebacks plus (for the blocks this node homes) the
-    /// ordered-PutM handshake windows, on the shared line-state plane.
-    wb: WritebackPlane,
-    migratory_optimization: bool,
-    stats: ControllerStats,
-    store_counter: u64,
-    /// Pooled storage for every MSHR entry's pending-op list.
-    pending_ops: OpSlab<PendingOp>,
-    /// Reusable completion/deferral scratch for `apply_pending_ops`.
-    completion_scratch: Vec<(ReqId, u64)>,
-    deferred_scratch: Vec<PendingOp>,
-    /// Cached all-nodes destination: snooping broadcasts every request, so
-    /// this Arc-backed set is cloned (refcount bump, no allocation) per send.
-    everyone: Destination,
+    core: MosiNode<SnoopMshr, OwnerBit>,
 }
 
 impl SnoopingController {
     /// Creates the snooping controller for `node` under `config`.
     pub fn new(node: NodeId, config: &SystemConfig) -> Self {
-        let home_map = HomeMap::new(config.num_nodes, config.block_bytes);
         SnoopingController {
-            node,
-            home_map,
-            l1: L1Filter::new(&config.l1, config.block_bytes),
-            l2: SetAssocCache::new(&config.l2, config.block_bytes),
-            l2_latency: config.l2.latency_ns,
-            controller_latency: config.controller_latency_ns,
-            dram_latency: config.dram_latency_ns,
-            memory: HomeMemory::new(node, home_map, config.dram_latency_ns),
-            mshrs: MshrTable::new(config.processor.max_outstanding_misses.max(1)),
-            wb: WritebackPlane::new(),
-            migratory_optimization: config.token.migratory_optimization,
-            stats: ControllerStats::new(),
-            store_counter: 0,
-            pending_ops: OpSlab::new(),
-            completion_scratch: Vec::new(),
-            deferred_scratch: Vec::new(),
-            everyone: Destination::Multicast((0..config.num_nodes).map(NodeId::new).collect()),
+            core: MosiNode::new(node, config, true),
         }
     }
 
-    fn is_home(&self, addr: BlockAddr) -> bool {
-        self.home_map.is_home(self.node, addr)
-    }
-
-    fn send(&mut self, out: &mut Outbox, msg: Message) {
-        self.stats.messages_sent += 1;
-        out.send(msg);
-    }
-
-    fn everyone(&self) -> Destination {
-        self.everyone.clone()
-    }
-
-    fn unicast(
-        &self,
-        at: Cycle,
-        dest: NodeId,
+    /// Answers `request` with this owner's copy of `addr`, echoing the
+    /// request's id.
+    fn send_cache_data(
+        &mut self,
+        now: Cycle,
+        request: QueuedRequest,
         addr: BlockAddr,
-        kind: MsgKind,
-        vnet: Vnet,
-    ) -> Message {
-        Message::new(self.node, Destination::Node(dest), addr, kind, vnet, at)
-    }
-
-    fn line_or_wb(&self, addr: BlockAddr) -> Option<MosiLine> {
-        self.l2.peek(addr).copied().or_else(|| self.wb.line(addr))
+        exclusive: bool,
+        version: u64,
+        out: &mut Outbox,
+    ) {
+        let mut data = self.core.unicast(
+            now + self.core.controller_latency + self.core.l2_latency,
+            request.requester,
+            addr,
+            MsgKind::Data {
+                acks_expected: 0,
+                exclusive,
+                from_memory: false,
+                payload: DataPayload::new(version),
+            },
+            Vnet::Response,
+        );
+        data.req_id = request.req_id;
+        self.core.send(out, data);
     }
 
     // ------------------------------------------------------------------
@@ -184,27 +129,33 @@ impl SnoopingController {
         req_id: Option<ReqId>,
         out: &mut Outbox,
     ) {
-        if requester == self.node {
+        let request = QueuedRequest {
+            requester,
+            write,
+            req_id,
+        };
+        if requester == self.core.node {
             self.observe_own_request(now, addr, out);
         } else {
-            self.snoop_other_request(now, requester, addr, write, req_id, out);
+            self.snoop_other_request(now, request, addr, out);
         }
         // Home-memory processing happens at every node for the blocks it
         // homes, regardless of who requested.
-        if self.is_home(addr) {
-            self.memory_snoop(now, requester, addr, write, req_id, out);
+        if self.core.is_home(addr) {
+            self.memory_snoop(now, request, addr, out);
         }
     }
 
     fn observe_own_request(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
         let still_valid = self
+            .core
             .l2
             .peek(addr)
             .map(|l| l.state.readable())
             .unwrap_or(false);
-        if let Some(mshr) = self.mshrs.get_mut(addr) {
-            mshr.ordered = true;
-            mshr.still_valid = still_valid;
+        if let Some(mshr) = self.core.mshrs.get_mut(addr) {
+            mshr.ext.ordered = true;
+            mshr.ext.still_valid = still_valid;
         }
         self.try_complete(now, addr, out);
     }
@@ -212,67 +163,46 @@ impl SnoopingController {
     fn snoop_other_request(
         &mut self,
         now: Cycle,
-        requester: NodeId,
+        request: QueuedRequest,
         addr: BlockAddr,
-        write: bool,
-        req_id: Option<ReqId>,
         out: &mut Outbox,
     ) {
-        let at = now + self.controller_latency + self.l2_latency;
-
+        let write = request.write;
         // If we have an ordered outstanding request for this block, we are
         // (or are about to become) the block's owner in the total order, so
         // we must remember this request and answer it once our data arrives.
-        let we_are_ordered_first = self.mshrs.get(addr).map(|m| m.ordered).unwrap_or(false);
-        if we_are_ordered_first {
-            if let Some(mshr) = self.mshrs.get_mut(addr) {
-                mshr.forward_queue.push(QueuedRequest {
-                    requester,
-                    write,
-                    req_id,
-                });
+        if let Some(mshr) = self.core.mshrs.get_mut(addr) {
+            if mshr.ext.ordered {
+                mshr.ext.forward_queue.push(request);
+                return;
             }
-            return;
         }
 
-        let in_live_cache = self.l2.contains(addr);
-        let line = self.line_or_wb(addr);
-        match line {
+        let in_live_cache = self.core.l2.contains(addr);
+        match self.core.line_or_wb(addr) {
             Some(line) if line.state.is_owner() => {
                 // The migratory hand-off is only applied from a live cache
                 // line; a block sitting in the write-back buffer answers GetS
                 // requests with a plain shared copy so that ownership only
                 // leaves the buffer through a GetM (which the home can track).
                 let migratory = !write
-                    && self.migratory_optimization
+                    && self.core.migratory_optimization
                     && in_live_cache
                     && line.state == MosiState::Modified
                     && line.dirty;
                 let exclusive = write || migratory;
-                let mut data = self.unicast(
-                    at,
-                    requester,
-                    addr,
-                    MsgKind::Data {
-                        acks_expected: 0,
-                        exclusive,
-                        from_memory: false,
-                        payload: DataPayload::new(line.version),
-                    },
-                    Vnet::Response,
-                );
-                data.req_id = req_id;
-                self.send(out, data);
-                self.stats.bump("snoop_data_responses", 1);
+                self.send_cache_data(now, request, addr, exclusive, line.version, out);
+                self.core.stats.bump("snoop_data_responses", 1);
+                let core = &mut self.core;
                 if exclusive {
-                    self.l2.remove(addr);
-                    self.l1.invalidate(addr);
+                    core.l2.remove(addr);
+                    core.l1.invalidate(addr);
                     // Ownership (and the writeback obligation) moves to the
                     // requester; the pending writeback is cancelled.
-                    self.wb.take(addr);
-                } else if let Some(l) = self.l2.get(addr) {
+                    core.wb.take(addr);
+                } else if let Some(l) = core.l2.get(addr) {
                     l.state = MosiState::Owned;
-                } else if let Some(entry) = self.wb.line_mut(addr) {
+                } else if let Some(entry) = core.wb.line_mut(addr) {
                     // The shared copy came out of the writeback buffer: the
                     // entry must demote to Owned just like a live line, or a
                     // pullback (re-access before the PutM is ordered) would
@@ -284,9 +214,9 @@ impl SnoopingController {
             Some(_) if write => {
                 // Another node's ordered GetM invalidates our shared copy; no
                 // acknowledgement is needed because the order is authoritative.
-                self.l2.remove(addr);
-                self.l1.invalidate(addr);
-                self.stats.bump("snoop_invalidations", 1);
+                self.core.l2.remove(addr);
+                self.core.l1.invalidate(addr);
+                self.core.stats.bump("snoop_invalidations", 1);
             }
             _ => {}
         }
@@ -299,68 +229,57 @@ impl SnoopingController {
     fn memory_snoop(
         &mut self,
         now: Cycle,
-        requester: NodeId,
+        request: QueuedRequest,
         addr: BlockAddr,
-        write: bool,
-        req_id: Option<ReqId>,
         out: &mut Outbox,
     ) {
-        if self.memory.state_mut(addr).memory_owner {
+        let bit = self.core.memory.state_mut(addr);
+        if bit.memory_owner {
             // Memory is the owner of record and answers directly, even while
             // a (necessarily stale) writeback window is open: a PutM ordered
             // while memory owns the block can only resolve to a cancel.
-            if write {
-                self.memory.state_mut(addr).memory_owner = false;
+            if request.write {
+                bit.memory_owner = false;
             }
-            let version = self.memory.data_version(addr);
-            self.send_memory_response(now, requester, addr, write, version, req_id, out);
-        } else if self.wb.window_is_open(addr) {
+            let version = self.core.memory.data_version(addr);
+            self.send_memory_response(now, request, addr, version, out);
+        } else if self.core.wb.window_is_open(addr) {
             // No owner anywhere: the previous owner's writeback marker has
             // been ordered but its data (or cancel) is still in flight. Queue
             // the request; the handshake resolution answers it. This is the
             // request that used to be stranded.
-            self.wb.window_queue_request(
-                addr,
-                QueuedRequest {
-                    requester,
-                    write,
-                    req_id,
-                },
-            );
-            self.stats.bump("wb_window_queued_requests", 1);
+            self.core.wb.window_queue_request(addr, request);
+            self.core.stats.bump("wb_window_queued_requests", 1);
         }
         // Otherwise some cache owns the block and observes this same ordered
         // request; answering is its responsibility.
     }
 
-    /// Sends a data response sourced by this node's home memory.
-    #[allow(clippy::too_many_arguments)]
+    /// Answers `request` from this node's home memory, echoing the
+    /// request's id; a GetM takes the block exclusively.
     fn send_memory_response(
         &mut self,
         now: Cycle,
-        requester: NodeId,
+        request: QueuedRequest,
         addr: BlockAddr,
-        exclusive: bool,
         version: u64,
-        req_id: Option<ReqId>,
         out: &mut Outbox,
     ) {
-        let at = now + self.controller_latency + self.dram_latency;
-        let mut data = self.unicast(
-            at,
-            requester,
+        let mut data = self.core.unicast(
+            now + self.core.controller_latency + self.core.dram_latency,
+            request.requester,
             addr,
             MsgKind::Data {
                 acks_expected: 0,
-                exclusive,
+                exclusive: request.write,
                 from_memory: true,
                 payload: DataPayload::new(version),
             },
             Vnet::Response,
         );
-        data.req_id = req_id;
-        self.send(out, data);
-        self.stats.bump("memory_responses", 1);
+        data.req_id = request.req_id;
+        self.core.send(out, data);
+        self.core.stats.bump("memory_responses", 1);
     }
 
     /// An ordered PutM marker: opens the home's writeback window, and — at
@@ -373,13 +292,13 @@ impl SnoopingController {
         version: u64,
         out: &mut Outbox,
     ) {
-        if self.is_home(addr) {
-            let resolutions = self.wb.window_on_putm(addr, from, version);
+        if self.core.is_home(addr) {
+            let resolutions = self.core.wb.window_on_putm(addr, from, version);
             // The handshake normally trails its marker, but cascade anyway in
             // case it was stashed.
             self.apply_wb_resolutions(now, addr, resolutions, out);
         }
-        if from == self.node {
+        if from == self.core.node {
             // Observing our own PutM is the handshake point: from here on,
             // requests ordered after the PutM are the home's responsibility,
             // so the buffer entry must go either way. Ship the data if we
@@ -388,39 +307,29 @@ impl SnoopingController {
             // re-evicted, in which case this marker is void and a later one
             // carries the data); cancel otherwise.
             let still_held = self
+                .core
                 .wb
                 .line(addr)
                 .map(|line| line.version == version)
                 .unwrap_or(false);
-            let home = self.home_map.home_of(addr);
+            let home = Destination::Node(self.core.home_of(addr));
+            let at = now + self.core.controller_latency;
             let handshake = if still_held {
-                let line = self.wb.take(addr).expect("checked above");
-                Message::new(
-                    self.node,
-                    Destination::Node(home),
-                    addr,
-                    MsgKind::Data {
-                        acks_expected: 0,
-                        exclusive: false,
-                        from_memory: false,
-                        payload: DataPayload::new(line.version),
-                    },
-                    Vnet::Writeback,
-                    now + self.controller_latency,
-                )
+                let line = self.core.wb.take(addr).expect("checked above");
+                let data = MsgKind::Data {
+                    acks_expected: 0,
+                    exclusive: false,
+                    from_memory: false,
+                    payload: DataPayload::new(line.version),
+                };
+                Message::new(self.core.node, home, addr, data, Vnet::Writeback, at)
             } else {
-                self.stats.bump("writebacks_cancelled", 1);
-                Message::new(
-                    self.node,
-                    Destination::Node(home),
-                    addr,
-                    MsgKind::WbCancel,
-                    Vnet::Writeback,
-                    now + self.controller_latency,
-                )
-                .with_req_id(ReqId::new(version))
+                self.core.stats.bump("writebacks_cancelled", 1);
+                let cancel = MsgKind::WbCancel;
+                Message::new(self.core.node, home, addr, cancel, Vnet::Writeback, at)
+                    .with_req_id(ReqId::new(version))
             };
-            self.send(out, handshake);
+            self.core.send(out, handshake);
         }
     }
 
@@ -435,8 +344,11 @@ impl SnoopingController {
         outcome: WbHandshake,
         out: &mut Outbox,
     ) {
-        debug_assert!(self.is_home(addr));
-        let resolutions = self.wb.window_on_handshake(addr, writer, version, outcome);
+        debug_assert!(self.core.is_home(addr));
+        let resolutions = self
+            .core
+            .wb
+            .window_on_handshake(addr, writer, version, outcome);
         self.apply_wb_resolutions(now, addr, resolutions, out);
     }
 
@@ -446,27 +358,19 @@ impl SnoopingController {
         &mut self,
         now: Cycle,
         addr: BlockAddr,
-        resolutions: Vec<crate::common::WbResolution>,
+        resolutions: Vec<WbResolution>,
         out: &mut Outbox,
     ) {
         for resolution in resolutions {
             if resolution.outcome == WbHandshake::Data {
-                self.memory.write_data(addr, resolution.version);
-                self.memory.state_mut(addr).memory_owner = true;
+                self.core.memory.write_data(addr, resolution.version);
+                self.core.memory.state_mut(addr).memory_owner = true;
                 for request in resolution.serve {
                     if request.write {
-                        self.memory.state_mut(addr).memory_owner = false;
+                        self.core.memory.state_mut(addr).memory_owner = false;
                     }
-                    self.send_memory_response(
-                        now,
-                        request.requester,
-                        addr,
-                        request.write,
-                        resolution.version,
-                        request.req_id,
-                        out,
-                    );
-                    self.stats.bump("wb_window_served_requests", 1);
+                    self.send_memory_response(now, request, addr, resolution.version, out);
+                    self.core.stats.bump("wb_window_served_requests", 1);
                 }
             }
             // A cancelled marker needs no action: ownership never left the
@@ -486,16 +390,15 @@ impl SnoopingController {
         req_id: Option<ReqId>,
         out: &mut Outbox,
     ) {
-        let Some(mshr) = self.mshrs.get_mut(addr) else {
+        let core = &mut self.core;
+        let Some(mshr) = core.mshrs.get_mut(addr) else {
             return;
         };
         // A response tagged for an earlier transaction on this block (for
         // example the redundant memory response to an upgrade that already
         // completed via `still_valid`) must not complete this one.
-        if let Some(id) = req_id {
-            if id != mshr.req_id {
-                return;
-            }
+        if req_id.is_some_and(|id| id != mshr.request_id(&core.pending_ops)) {
+            return;
         }
         // A cache-supplied copy supersedes memory's copy (memory may respond
         // as well when its owner bit is stale for at most one transition).
@@ -509,289 +412,85 @@ impl SnoopingController {
         self.try_complete(now, addr, out);
     }
 
+    /// A miss completes once its own request is ordered and its data is in;
+    /// an upgrade whose copy survived until then needs no data.
     fn try_complete(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        let Some(mshr) = self.mshrs.get(addr) else {
+        let Some(mshr) = self.core.mshrs.get(addr) else {
             return;
         };
-        if !mshr.ordered {
+        let satisfied = mshr.data_received || (mshr.write && mshr.ext.still_valid);
+        if !mshr.ext.ordered || !satisfied {
             return;
         }
-        let satisfied = if mshr.write {
-            // An upgrade whose copy survived until its request was ordered
-            // completes immediately; otherwise we need data.
-            mshr.data_received || mshr.still_valid
-        } else {
-            mshr.data_received
-        };
-        if !satisfied {
-            return;
-        }
-        let mut mshr = self.mshrs.release(addr).expect("checked above");
-
-        // Determine the version we start from.
-        let base_version = if mshr.data_received {
+        let version = if mshr.data_received {
             mshr.version
         } else {
-            self.l2.peek(addr).map(|l| l.version).unwrap_or(0)
+            self.core.l2.peek(addr).map(|l| l.version).unwrap_or(0)
         };
-        let granted_exclusive = mshr.write || mshr.exclusive;
-        let state = if granted_exclusive {
-            MosiState::Modified
-        } else {
-            MosiState::Shared
-        };
-        let mut line = MosiLine {
-            state,
-            dirty: (mshr.dirty || mshr.write) && state.is_owner(),
-            version: base_version,
-            valid_since: mshr.issued_at,
-        };
-        // Stores merged into a read miss wait for their own upgrade.
-        apply_pending_ops(
-            &mut line,
-            self.pending_ops.iter(&mshr.pending),
-            granted_exclusive,
-            &mut self.store_counter,
-            version_node_bits(self.node),
-            &mut self.completion_scratch,
-            &mut self.deferred_scratch,
-        );
-        self.pending_ops.clear(&mut mshr.pending);
-        if let Some(victim) = self.l2.insert(addr, line) {
-            self.evict(now, victim.addr, victim.state, out);
-        }
-
-        let kind = miss_kind(mshr.write, mshr.upgrade);
-        for (req_id, v) in self.completion_scratch.drain(..) {
-            out.complete(MissCompletion {
-                req_id,
-                addr,
-                kind,
-                issued_at: mshr.issued_at,
-                completed_at: now,
-                data_version: v,
-                cache_to_cache: mshr.from_cache,
-            });
-        }
-        let latency = now.saturating_sub(mshr.issued_at);
-        record_completed_miss(&mut self.stats, kind, latency, mshr.from_cache);
+        let mshr = self.core.complete(now, addr, version, out);
 
         // Serve the requests we promised to answer, in order, until one of
         // them takes ownership away from us.
         let mut still_owner = self
+            .core
             .l2
             .peek(addr)
             .map(|l| l.state.is_owner())
             .unwrap_or(false);
-        for request in mshr.forward_queue {
-            let QueuedRequest {
-                requester, write, ..
-            } = request;
+        for request in mshr.ext.forward_queue {
+            let write = request.write;
             if !still_owner {
                 // The request is someone else's responsibility now; if it was
                 // an exclusive request, our copy must go.
                 if write {
-                    self.l2.remove(addr);
-                    self.l1.invalidate(addr);
+                    self.core.l2.remove(addr);
+                    self.core.l1.invalidate(addr);
                 }
                 continue;
             }
-            let line = match self.l2.peek(addr).copied() {
-                Some(line) => line,
-                None => break,
+            let Some(line) = self.core.l2.peek(addr).copied() else {
+                break;
             };
-            let at = now + self.controller_latency + self.l2_latency;
             let migratory = !write
-                && self.migratory_optimization
+                && self.core.migratory_optimization
                 && line.state == MosiState::Modified
                 && line.dirty;
             let exclusive = write || migratory;
-            let mut data = self.unicast(
-                at,
-                requester,
-                addr,
-                MsgKind::Data {
-                    acks_expected: 0,
-                    exclusive,
-                    from_memory: false,
-                    payload: DataPayload::new(line.version),
-                },
-                Vnet::Response,
-            );
-            data.req_id = request.req_id;
-            self.send(out, data);
+            self.send_cache_data(now, request, addr, exclusive, line.version, out);
             if exclusive {
-                self.l2.remove(addr);
-                self.l1.invalidate(addr);
+                self.core.l2.remove(addr);
+                self.core.l1.invalidate(addr);
                 still_owner = false;
-            } else if let Some(l) = self.l2.get(addr) {
+            } else if let Some(l) = self.core.l2.get(addr) {
                 l.state = MosiState::Owned;
             }
         }
 
-        // Re-issue merged stores as an upgrade transaction of their own.
-        if !self.deferred_scratch.is_empty() {
-            self.stats.bump("merged_store_upgrades", 1);
-            let upgrade_req_id = self.deferred_scratch[0].req_id;
-            let mut deferred = OpList::new();
-            for i in 0..self.deferred_scratch.len() {
-                let op = self.deferred_scratch[i];
-                self.pending_ops.push(&mut deferred, op);
-            }
-            self.deferred_scratch.clear();
-            let upgrade = SnoopMshr {
-                pending: deferred,
-                req_id: upgrade_req_id,
-                write: true,
-                upgrade: true,
-                issued_at: now,
-                ordered: false,
-                data_received: false,
-                exclusive: false,
-                version: 0,
-                dirty: false,
-                from_cache: false,
-                still_valid: false,
-                forward_queue: Vec::new(),
-            };
-            self.mshrs
-                .allocate(addr, upgrade)
-                .unwrap_or_else(|_| panic!("upgrade MSHR conflict at {}", self.node));
-            let getm = Message::new(
-                self.node,
-                self.everyone(),
-                addr,
-                MsgKind::GetM,
-                Vnet::Request,
-                now + self.controller_latency,
-            )
-            .with_req_id(upgrade_req_id);
-            self.send(out, getm);
-        }
-    }
-
-    fn evict(&mut self, now: Cycle, addr: BlockAddr, line: MosiLine, out: &mut Outbox) {
-        self.l1.invalidate(addr);
-        if line.state.is_owner() {
-            self.stats.misses.writebacks += 1;
-            self.wb.stash(addr, line);
-            // Writebacks are broadcast so the total order covers them too.
-            let putm = Message::new(
-                self.node,
-                self.everyone(),
-                addr,
-                MsgKind::PutM,
-                Vnet::Writeback,
-                now + self.controller_latency,
-            )
-            .with_req_id(ReqId::new(line.version));
-            self.send(out, putm);
-        }
+        self.core.reissue_deferred(now, addr, out);
     }
 }
 
 impl CoherenceController for SnoopingController {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
     fn protocol_name(&self) -> &'static str {
         "Snooping"
     }
 
     fn access(&mut self, now: Cycle, op: &MemOp, out: &mut Outbox) -> AccessOutcome {
-        let addr = op.addr.block(self.home_map.block_bytes());
-        let write = op.kind.is_write();
-
         // A block sitting in the writeback buffer is pulled straight back
         // into the cache: this node is still the block's owner of record, so
         // broadcasting a request for it would go unanswered (the old
         // self-deadlock). The in-flight PutM resolves as a WbCancel when this
         // node observes it with the buffer entry gone.
-        if let Some(line) = self.wb.take(addr) {
-            self.stats.bump("writeback_pullbacks", 1);
-            if let Some(victim) = self.l2.insert(addr, line) {
-                self.evict(now, victim.addr, victim.state, out);
-            }
+        let addr = op.addr.block(self.core.home_map.block_bytes());
+        if let Some(line) = self.core.wb.take(addr) {
+            self.core.stats.bump("writeback_pullbacks", 1);
+            self.core.install(now, addr, line, out);
         }
-
-        // Read hits report the copy's `valid_since` (not `now`): an
-        // unacknowledged ordered broadcast is coherent but not linearizable,
-        // so the legality window opens at the copy's serialization bound.
-        if let Some(outcome) = mosi_hit_path(
-            &mut self.l1,
-            &mut self.l2,
-            addr,
-            write,
-            now,
-            self.l2_latency,
-            &mut self.store_counter,
-            version_node_bits(self.node),
-            &mut self.stats.misses,
-            true,
-        ) {
-            return outcome;
-        }
-
-        let had_copy = self
-            .l2
-            .peek(addr)
-            .map(|l| l.state.readable())
-            .unwrap_or(false);
-        if let Some(mshr) = self.mshrs.get_mut(addr) {
-            // Merge into the outstanding miss; stores that arrive without
-            // write permission are re-issued as an upgrade once the current
-            // transaction completes.
-            self.pending_ops.push(
-                &mut mshr.pending,
-                PendingOp {
-                    req_id: op.id,
-                    write,
-                },
-            );
-            return AccessOutcome::Miss;
-        }
-
-        let mshr = SnoopMshr {
-            pending: self.pending_ops.singleton(PendingOp {
-                req_id: op.id,
-                write,
-            }),
-            req_id: op.id,
-            write,
-            upgrade: write && had_copy,
-            issued_at: now,
-            ordered: false,
-            data_received: false,
-            exclusive: false,
-            version: 0,
-            dirty: false,
-            from_cache: false,
-            still_valid: false,
-            forward_queue: Vec::new(),
-        };
-        self.mshrs
-            .allocate(addr, mshr)
-            .unwrap_or_else(|_| panic!("MSHR overflow at {}", self.node));
-        let kind = if write { MsgKind::GetM } else { MsgKind::GetS };
-        // The request is broadcast to every node, *including this one*: the
-        // self-delivery, ordered by the root switch, tells the requester
-        // where its request falls in the total order.
-        let msg = Message::new(
-            self.node,
-            self.everyone(),
-            addr,
-            kind,
-            Vnet::Request,
-            now + self.controller_latency,
-        )
-        .with_req_id(op.id);
-        self.send(out, msg);
-        AccessOutcome::Miss
+        self.core.access(now, op, out)
     }
 
     fn handle_message(&mut self, now: Cycle, msg: &Message, out: &mut Outbox) {
-        self.stats.messages_received += 1;
+        self.core.stats.messages_received += 1;
         let addr = msg.addr;
         match &msg.kind {
             MsgKind::GetS => self.snoop_request(now, msg.src, addr, false, msg.req_id, out),
@@ -837,156 +536,48 @@ impl CoherenceController for SnoopingController {
         }
     }
 
-    fn handle_timer(&mut self, _now: Cycle, _timer: Timer, _out: &mut Outbox) {
-        // Snooping arms no timers.
+    mosi_bookkeeping!();
+}
+
+impl SnapState for SnoopMshr {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bool(self.ordered);
+        w.bool(self.still_valid);
+        w.seq(self.forward_queue.iter(), emit_queued_request);
     }
 
-    fn stats(&self) -> ControllerStats {
-        self.stats.clone()
-    }
-
-    fn audit_block(&self, addr: BlockAddr) -> Vec<BlockAudit> {
-        let mut audits = Vec::new();
-        if let Some(line) = self.l2.peek(addr) {
-            audits.push(BlockAudit {
-                tokens: 0,
-                owner_token: line.state.is_owner(),
-                readable: line.state.readable(),
-                writable: line.state.writable(),
-                data_version: line.version,
-                in_memory: false,
-            });
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let ordered = r.bool()?;
+        let still_valid = r.bool()?;
+        let forward_len = r.bounded_len(6)?;
+        let mut forward_queue = Vec::with_capacity(forward_len);
+        for _ in 0..forward_len {
+            forward_queue.push(read_queued_request(r)?);
         }
-        audits
-    }
-
-    fn audited_blocks(&self) -> Vec<BlockAddr> {
-        self.l2.blocks()
-    }
-
-    fn outstanding_misses(&self) -> usize {
-        self.mshrs.len()
-    }
-
-    fn outstanding_blocks(&self) -> Vec<BlockAddr> {
-        self.mshrs.blocks_sorted()
-    }
-
-    fn line_state_stats(&self) -> LineStateStats {
-        let (wb_buffer_peak, wb_window_peak) = self.wb.peaks();
-        LineStateStats {
-            mshr_peak: self.mshrs.high_water() as u64,
-            wb_buffer_peak,
-            wb_window_peak,
-            home_peak: self.memory.entries_high_water(),
-            persistent_peak: 0,
-            state_bytes: self.mshrs.state_bytes()
-                + self.wb.state_bytes()
-                + self.memory.state_bytes(),
-        }
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.store_counter);
-        self.stats.save_state(w);
-        self.l1.save_state(w);
-        self.l2.save_state(w, emit_mosi_line);
-        self.memory.save_state(w, |w, bit| w.bool(bit.memory_owner));
-        self.mshrs
-            .save_state(w, |w, mshr| emit_snoop_mshr(w, mshr, &self.pending_ops));
-        self.wb.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.store_counter = r.u64()?;
-        self.stats = ControllerStats::load_state(r)?;
-        self.l1.load_state(r)?;
-        self.l2.load_state(r, read_mosi_line)?;
-        self.memory.load_state(r, |r| {
-            Ok(OwnerBit {
-                memory_owner: r.bool()?,
-            })
-        })?;
-        // Rebuild the pending-op pool from scratch; handles saved inside the
-        // reloaded MSHR entries are re-minted as they are read.
-        self.pending_ops.reset();
-        let slab = &mut self.pending_ops;
-        self.mshrs.load_state(r, |r| read_snoop_mshr(r, slab))?;
-        self.wb.load_state(r)?;
-        Ok(())
+        Ok(SnoopMshr {
+            ordered,
+            still_valid,
+            forward_queue,
+        })
     }
 }
 
-fn emit_snoop_mshr(w: &mut SnapWriter, mshr: &SnoopMshr, slab: &OpSlab<PendingOp>) {
-    w.seq(slab.iter(&mshr.pending), emit_pending_op);
-    w.u64(mshr.req_id.value());
-    w.bool(mshr.write);
-    w.bool(mshr.upgrade);
-    w.u64(mshr.issued_at);
-    w.bool(mshr.ordered);
-    w.bool(mshr.data_received);
-    w.bool(mshr.exclusive);
-    w.u64(mshr.version);
-    w.bool(mshr.dirty);
-    w.bool(mshr.from_cache);
-    w.bool(mshr.still_valid);
-    w.seq(mshr.forward_queue.iter(), |w, q| {
-        w.u32(q.requester.index() as u32);
-        w.bool(q.write);
-        w.option(q.req_id, |w, id| w.u64(id.value()));
-    });
-}
+impl SnapState for OwnerBit {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bool(self.memory_owner);
+    }
 
-fn read_snoop_mshr(
-    r: &mut SnapReader<'_>,
-    slab: &mut OpSlab<PendingOp>,
-) -> Result<SnoopMshr, SnapshotError> {
-    let pending_len = r.bounded_len(9)?;
-    let mut pending = OpList::new();
-    for _ in 0..pending_len {
-        slab.push(&mut pending, read_pending_op(r)?);
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(OwnerBit {
+            memory_owner: r.bool()?,
+        })
     }
-    let req_id = ReqId::new(r.u64()?);
-    let write = r.bool()?;
-    let upgrade = r.bool()?;
-    let issued_at = r.u64()?;
-    let ordered = r.bool()?;
-    let data_received = r.bool()?;
-    let exclusive = r.bool()?;
-    let version = r.u64()?;
-    let dirty = r.bool()?;
-    let from_cache = r.bool()?;
-    let still_valid = r.bool()?;
-    let forward_len = r.bounded_len(6)?;
-    let mut forward_queue = Vec::with_capacity(forward_len);
-    for _ in 0..forward_len {
-        forward_queue.push(QueuedRequest {
-            requester: NodeId::new(r.u32()? as usize),
-            write: r.bool()?,
-            req_id: r.option(|r| Ok(ReqId::new(r.u64()?)))?,
-        });
-    }
-    Ok(SnoopMshr {
-        pending,
-        req_id,
-        write,
-        upgrade,
-        issued_at,
-        ordered,
-        data_received,
-        exclusive,
-        version,
-        dirty,
-        from_cache,
-        still_valid,
-        forward_queue,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_types::{Address, MemOpKind, MissKind, ProtocolKind};
+    use tc_types::{Address, MemOpKind, MissCompletion, MissKind, ProtocolKind};
 
     fn config() -> SystemConfig {
         SystemConfig::isca03_default()
@@ -1063,7 +654,7 @@ mod tests {
         assert_eq!(completions.len(), 1);
         assert!(!completions[0].cache_to_cache);
         assert_eq!(
-            nodes[1].l2.peek(BlockAddr::new(0)).unwrap().state,
+            nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap().state,
             MosiState::Shared
         );
         // Memory stays the owner for shared data.
@@ -1080,7 +671,7 @@ mod tests {
         assert_eq!(completions.len(), 1);
         assert_eq!(completions[0].kind, MissKind::Write);
         assert_eq!(
-            nodes[2].l2.peek(BlockAddr::new(0)).unwrap().state,
+            nodes[2].core.l2.peek(BlockAddr::new(0)).unwrap().state,
             MosiState::Modified
         );
 
@@ -1090,7 +681,7 @@ mod tests {
         let completions = run_until_quiet(out, &mut nodes, 1000);
         assert_eq!(completions.len(), 1);
         assert!(completions[0].cache_to_cache);
-        assert!(nodes[2].l2.peek(BlockAddr::new(0)).is_none());
+        assert!(nodes[2].core.l2.peek(BlockAddr::new(0)).is_none());
     }
 
     #[test]
@@ -1108,10 +699,10 @@ mod tests {
         // With the migratory optimization the reader ends up with an
         // exclusive (Modified) copy and the old owner is invalidated.
         assert_eq!(
-            nodes[1].l2.peek(BlockAddr::new(0)).unwrap().state,
+            nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap().state,
             MosiState::Modified
         );
-        assert!(nodes[2].l2.peek(BlockAddr::new(0)).is_none());
+        assert!(nodes[2].core.l2.peek(BlockAddr::new(0)).is_none());
     }
 
     #[test]
@@ -1122,7 +713,7 @@ mod tests {
         nodes[1].access(0, &load(0, 1), &mut out);
         run_until_quiet(out, &mut nodes, 0);
         assert_eq!(
-            nodes[1].l2.peek(BlockAddr::new(0)).unwrap().state,
+            nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap().state,
             MosiState::Shared
         );
 
@@ -1137,7 +728,7 @@ mod tests {
         assert_eq!(completions.len(), 1);
         assert_eq!(completions[0].kind, MissKind::Upgrade);
         assert_eq!(
-            nodes[1].l2.peek(BlockAddr::new(0)).unwrap().state,
+            nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap().state,
             MosiState::Modified
         );
     }
@@ -1161,6 +752,7 @@ mod tests {
         let holders: Vec<_> = (0..4)
             .filter(|n| {
                 nodes[*n]
+                    .core
                     .l2
                     .peek(BlockAddr::new(0))
                     .map(|l| l.state == MosiState::Modified)
@@ -1173,7 +765,12 @@ mod tests {
         let winner_version = completions.iter().map(|c| c.data_version).max().unwrap();
         let holder = holders[0];
         assert_eq!(
-            nodes[holder].l2.peek(BlockAddr::new(0)).unwrap().version,
+            nodes[holder]
+                .core
+                .l2
+                .peek(BlockAddr::new(0))
+                .unwrap()
+                .version,
             winner_version
         );
     }
@@ -1190,10 +787,10 @@ mod tests {
         run_until_quiet(out, &mut nodes, 0);
 
         // Evict the modified line: the PutM marker is broadcast.
-        let line = *nodes[1].l2.peek(BlockAddr::new(0)).unwrap();
-        nodes[1].l2.remove(BlockAddr::new(0));
+        let line = *nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap();
+        nodes[1].core.l2.remove(BlockAddr::new(0));
         let mut out = Outbox::new();
-        nodes[1].evict(2000, BlockAddr::new(0), line, &mut out);
+        nodes[1].core.evict(2000, BlockAddr::new(0), line, &mut out);
         let putm = out.messages[0].clone();
         assert_eq!(putm.kind, MsgKind::PutM);
 
@@ -1204,7 +801,10 @@ mod tests {
         }
         let data = handshake.messages.pop().expect("writeback data shipped");
         assert_eq!(data.vnet, Vnet::Writeback);
-        assert!(nodes[1].wb.buffer_is_empty(), "entry dropped at handshake");
+        assert!(
+            nodes[1].core.wb.buffer_is_empty(),
+            "entry dropped at handshake"
+        );
 
         // A read ordered inside the window: nobody owns the block, so the
         // home queues it rather than leaving it stranded.
@@ -1242,12 +842,12 @@ mod tests {
         nodes[1].access(0, &store(0, 1), &mut out);
         run_until_quiet(out, &mut nodes, 0);
 
-        let line = *nodes[1].l2.peek(BlockAddr::new(0)).unwrap();
-        nodes[1].l2.remove(BlockAddr::new(0));
+        let line = *nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap();
+        nodes[1].core.l2.remove(BlockAddr::new(0));
         let mut out = Outbox::new();
-        nodes[1].evict(2000, BlockAddr::new(0), line, &mut out);
+        nodes[1].core.evict(2000, BlockAddr::new(0), line, &mut out);
         let putm = out.messages[0].clone();
-        assert!(nodes[1].wb.contains(BlockAddr::new(0)));
+        assert!(nodes[1].core.wb.contains(BlockAddr::new(0)));
 
         // Re-access before the PutM is ordered: a hit straight out of the
         // writeback buffer, no broadcast.
@@ -1255,9 +855,9 @@ mod tests {
         let outcome = nodes[1].access(2050, &load(0, 2), &mut out);
         assert!(matches!(outcome, AccessOutcome::Hit { .. }));
         assert!(out.messages.is_empty());
-        assert!(nodes[1].wb.buffer_is_empty());
+        assert!(nodes[1].core.wb.buffer_is_empty());
         assert_eq!(
-            nodes[1].l2.peek(BlockAddr::new(0)).unwrap().state,
+            nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap().state,
             MosiState::Modified
         );
 
@@ -1298,10 +898,10 @@ mod tests {
         run_until_quiet(out, &mut nodes, 0);
 
         // Evict the modified line; hold the PutM.
-        let line = *nodes[1].l2.peek(BlockAddr::new(0)).unwrap();
-        nodes[1].l2.remove(BlockAddr::new(0));
+        let line = *nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap();
+        nodes[1].core.l2.remove(BlockAddr::new(0));
         let mut out = Outbox::new();
-        nodes[1].evict(2000, BlockAddr::new(0), line, &mut out);
+        nodes[1].core.evict(2000, BlockAddr::new(0), line, &mut out);
         let putm = out.messages[0].clone();
 
         // A read ordered before the PutM is answered from the buffer with a
@@ -1312,7 +912,7 @@ mod tests {
         assert_eq!(completions.len(), 1);
         assert!(completions[0].cache_to_cache);
         assert_eq!(
-            nodes[1].wb.line(BlockAddr::new(0)).unwrap().state,
+            nodes[1].core.wb.line(BlockAddr::new(0)).unwrap().state,
             MosiState::Owned
         );
 
@@ -1332,11 +932,11 @@ mod tests {
         assert_eq!(completions.len(), 1);
         assert_eq!(completions[0].kind, MissKind::Upgrade);
         assert_eq!(
-            nodes[1].l2.peek(BlockAddr::new(0)).unwrap().state,
+            nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap().state,
             MosiState::Modified
         );
         assert!(
-            nodes[3].l2.peek(BlockAddr::new(0)).is_none(),
+            nodes[3].core.l2.peek(BlockAddr::new(0)).is_none(),
             "the reader's shared copy must be invalidated by the upgrade"
         );
     }
@@ -1349,10 +949,10 @@ mod tests {
         run_until_quiet(out, &mut nodes, 0);
 
         // Evict the modified line.
-        let line = *nodes[1].l2.peek(BlockAddr::new(0)).unwrap();
-        nodes[1].l2.remove(BlockAddr::new(0));
+        let line = *nodes[1].core.l2.peek(BlockAddr::new(0)).unwrap();
+        nodes[1].core.l2.remove(BlockAddr::new(0));
         let mut out = Outbox::new();
-        nodes[1].evict(2000, BlockAddr::new(0), line, &mut out);
+        nodes[1].core.evict(2000, BlockAddr::new(0), line, &mut out);
         assert!(out.messages.iter().any(|m| m.kind == MsgKind::PutM));
         run_until_quiet(out, &mut nodes, 2000);
 

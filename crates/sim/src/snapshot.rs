@@ -30,7 +30,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 ///   (empty in single-stream mode); `EngineStats` carries shard telemetry;
 ///   the runner fingerprint folds in `RunOptions::shards`.
 /// * v4 — `LineStateStats` drops the retired-container byte estimate.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// * v5 — the Snooping, Directory and Hammer MSHRs share one field order
+///   (pending ops, the common fields, then the protocol's own), and drop
+///   the derivable Hammer `responses_expected` and Snooping `req_id`.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot or journal could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
